@@ -117,6 +117,6 @@ int main() {
   run_panel("(b) computational + memory FT", true, sizes, reps);
   std::printf(
       "shape check: Offline (naive) highest everywhere. At memory-bound sizes "
-      "(>= 2^21 here, 2^25+ in the paper) Opt-Online undercuts Opt-Offline in\n(a) and stays comparable in (b); at compute-bound sizes the explicit\ndecomposition is visible as structural overhead (see EXPERIMENTS.md).\nFused-Online undercuts Opt-Online wherever a sub-size passes the\nfused_profitable gate (>= 512, != 2048): the input dot rides the sub-FFT\nstaging copy and the output dot the final streaming stage. Sub-sizes the\ngate rejects run the identical separate-pass code in both columns, so\nthose rows read as 'even within noise' — e.g. 2^22 = 2048 x 2048 sits\nentirely at the gated L1-edge size. Expect Fused-Online at or below\nOpt-Online on every row, clearly below at 2^19/2^20.\n");
+      "(>= 2^21 here, 2^25+ in the paper) Opt-Online undercuts Opt-Offline in\n(a) and stays comparable in (b); at compute-bound sizes the explicit\ndecomposition is visible as structural overhead.\nFused-Online undercuts Opt-Online wherever a sub-size passes the\nfused_profitable gate (>= 512, != 2048): the input dot rides the sub-FFT\nstaging copy and the output dot the final streaming stage. Sub-sizes the\ngate rejects run the identical separate-pass code in both columns, so\nthose rows read as 'even within noise' — e.g. 2^22 = 2048 x 2048 sits\nentirely at the gated L1-edge size. Expect Fused-Online at or below\nOpt-Online on every row, clearly below at 2^19/2^20.\n");
   return 0;
 }

@@ -1,20 +1,27 @@
 // Reproduces Fig. 8: parallel execution time (no faults) of FFTW /
 // FT-FFTW / opt-FFTW / opt-FT-FFTW in (a) strong scaling and (b) weak
-// scaling, on the simulated message-passing substrate.
+// scaling.
 //
 // The reported numbers are *simulated makespans*: per-rank thread-CPU
 // compute time + an alpha-beta network model, max over ranks (see
-// src/parallel/network_model.hpp). Expected shape (paper section 9.3.1):
-// FT-FFTW carries checksum overhead over FFTW; overlap (opt-*) claws most
-// of it back, with opt-FT-FFTW close to — and opt-FFTW at or below — the
-// unprotected baseline.
+// src/parallel/network_model.hpp). Under overlap (the opt-* variants) the
+// block-pull work of every transpose hides that much of the modeled
+// transfer (Algorithm 3). After each table the bench prints the paper's
+// expected shape (section 9.3.1) as PASS/FAIL lines computed from the
+// table's own values, per rank count:
+//   - FT-FFTW > FFTW          (checksums cost something);
+//   - opt-FFTW <= FFTW        (overlap never slows the baseline);
+//   - opt-FT-FFTW < FT-FFTW   (overlap claws protection overhead back).
+// A FAIL is reported, not hidden; the exit status stays 0.
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "engine/batch_engine.hpp"
 #include "parallel/parallel_fft.hpp"
-#include "parallel/parallel_plan.hpp"
 
 namespace {
 
@@ -23,38 +30,95 @@ using bench::size_label;
 using parallel::ParallelOptions;
 using parallel::ParallelReport;
 
-double run_variant(std::size_t p, const std::vector<cplx>& x,
-                   ParallelOptions opts) {
-  // One warm-up run (plan caches, twiddle tables, first-touch pages), then
-  // the best of two measured runs.
-  ParallelReport report;
-  (void)parallel::parallel_fft(p, x, opts, &report);
-  double best = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    (void)parallel::parallel_fft(p, x, opts, &report);
-    best = std::min(best, report.makespan);
+enum Variant { kFftw, kFtFftw, kOptFftw, kOptFtFftw, kVariants };
+
+const char* const kVariantName[kVariants] = {"FFTW", "FT-FFTW", "opt-FFTW",
+                                             "opt-FT-FFTW"};
+
+ParallelOptions variant_options(int v) {
+  switch (v) {
+    case kFftw:
+      return ParallelOptions::fftw();
+    case kFtFftw:
+      return ParallelOptions::ft_fftw();
+    case kOptFftw:
+      return ParallelOptions::opt_fftw();
+    default:
+      return ParallelOptions::opt_ft_fftw();
   }
-  return best;
 }
 
-void add_variant_rows(TablePrinter& table, const char* col_kind,
-                      const std::vector<std::pair<std::string,
-                                                  ParallelOptions>>& variants,
-                      const std::vector<std::size_t>& axis,
-                      const std::function<std::pair<std::size_t,
-                                                    std::size_t>(std::size_t)>&
-                          geometry) {
-  (void)col_kind;
-  for (const auto& [name, opts] : variants) {
-    std::vector<std::string> row{name};
-    for (std::size_t a : axis) {
-      const auto [p, n] = geometry(a);
-      auto x = random_vector(n, InputDistribution::kUniform, 11 + n + p);
-      row.push_back(
-          TablePrinter::fixed(run_variant(p, x, opts) * 1e3, 3) + " ms");
+using Geometry = std::function<std::pair<std::size_t, std::size_t>(std::size_t)>;
+
+/// Measures every variant at every rank count, prints the table and returns
+/// the makespans in seconds, indexed [variant][rank-count position].
+///
+/// A makespan adds measured per-rank thread-CPU time, which host noise only
+/// ever inflates, so each cell is the best of several runs, and the four
+/// variants run interleaved so drift hits them alike. The rank tasks run on
+/// a one-worker engine: co-scheduled ranks would contend for cores and
+/// caches and inflate each other's CPU time, which a rank owning its node
+/// (the paper's setting) never sees.
+std::vector<std::vector<double>> run_table(const std::vector<std::size_t>& ps,
+                                           const Geometry& geometry) {
+  engine::BatchEngine eng(1);
+  const int reps =
+      std::max(1, static_cast<int>(5 * bench_runs_percent() / 100));
+  std::vector<std::vector<double>> ms(kVariants,
+                                      std::vector<double>(ps.size(), 1e300));
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const auto [p, n] = geometry(ps[i]);
+    const auto x = random_vector(n, InputDistribution::kUniform, 11 + n + p);
+    // One warm-up run per variant (plan caches, twiddle tables, first-touch
+    // pages), then the measured rounds.
+    for (int rep = -1; rep < reps; ++rep) {
+      for (int v = 0; v < kVariants; ++v) {
+        ParallelReport report;
+        (void)parallel::submit_parallel(p, x, variant_options(v), {}, &eng)
+            .get(&report);
+        if (rep >= 0) ms[v][i] = std::min(ms[v][i], report.makespan);
+      }
     }
+  }
+  std::vector<std::string> header{"Variant"};
+  for (std::size_t p : ps) header.push_back("p=" + std::to_string(p));
+  TablePrinter table(header);
+  for (int v = 0; v < kVariants; ++v) {
+    std::vector<std::string> row{kVariantName[v]};
+    for (double t : ms[v]) row.push_back(TablePrinter::fixed(t * 1e3, 3) + " ms");
     table.add_row(row);
   }
+  table.print();
+  return ms;
+}
+
+/// Prints one PASS/FAIL line per (rank count, shape rule) and returns the
+/// number of failures.
+int print_shape_checks(const char* tag, const std::vector<std::size_t>& ps,
+                       const std::vector<std::vector<double>>& ms) {
+  struct Rule {
+    int lhs, rhs;
+    const char* op;
+    bool (*holds)(double, double);
+  };
+  const Rule rules[] = {
+      {kFtFftw, kFftw, ">", [](double a, double b) { return a > b; }},
+      {kOptFftw, kFftw, "<=", [](double a, double b) { return a <= b; }},
+      {kOptFtFftw, kFtFftw, "<", [](double a, double b) { return a < b; }},
+  };
+  int failures = 0;
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    for (const Rule& rule : rules) {
+      const double a = ms[rule.lhs][i], b = ms[rule.rhs][i];
+      const bool ok = rule.holds(a, b);
+      failures += ok ? 0 : 1;
+      std::printf("shape check %s p=%-3zu %-11s %-2s %-8s %s (%.3f vs %.3f ms)\n",
+                  tag, ps[i], kVariantName[rule.lhs], rule.op,
+                  kVariantName[rule.rhs], ok ? "PASS" : "FAIL", a * 1e3,
+                  b * 1e3);
+    }
+  }
+  return failures;
 }
 
 }  // namespace
@@ -63,24 +127,16 @@ int main() {
   bench::banner("Parallel FT-FFT scaling (no faults, simulated makespan)",
                 "Fig. 8(a)/(b), SC'17 Liang et al.");
 
-  const std::vector<std::pair<std::string, ParallelOptions>> variants = {
-      {"FFTW", ParallelOptions::fftw()},
-      {"FT-FFTW", ParallelOptions::ft_fftw()},
-      {"opt-FFTW", ParallelOptions::opt_fftw()},
-      {"opt-FT-FFTW", ParallelOptions::opt_ft_fftw()},
-  };
+  const std::vector<std::size_t> ps = {4, 8, 16, 32};
+  int failures = 0;
 
   // (a) strong scaling: fixed N, growing rank count.
   {
     const std::size_t n = scaled_size(std::size_t{1} << 20);
-    std::printf("--- (a) strong scaling: N = %s ---\n",
-                size_label(n).c_str());
-    std::vector<std::size_t> ps = {4, 8, 16, 32};
-    TablePrinter table({"Variant", "p=4", "p=8", "p=16", "p=32"});
-    add_variant_rows(table, "p", variants, ps, [&](std::size_t p) {
-      return std::make_pair(p, n);
-    });
-    table.print();
+    std::printf("--- (a) strong scaling: N = %s ---\n", size_label(n).c_str());
+    const auto ms =
+        run_table(ps, [&](std::size_t p) { return std::make_pair(p, n); });
+    failures += print_shape_checks("(a)", ps, ms);
     std::printf("\n");
   }
 
@@ -89,52 +145,14 @@ int main() {
     const std::size_t per_rank = scaled_size(std::size_t{1} << 15);
     std::printf("--- (b) weak scaling: N/p = %s ---\n",
                 size_label(per_rank).c_str());
-    std::vector<std::size_t> ps = {4, 8, 16, 32};
-    TablePrinter table({"Variant", "p=4", "p=8", "p=16", "p=32"});
-    add_variant_rows(table, "N", variants, ps, [&](std::size_t p) {
+    const auto ms = run_table(ps, [&](std::size_t p) {
       return std::make_pair(p, per_rank * p);
     });
-    table.print();
+    failures += print_shape_checks("(b)", ps, ms);
     std::printf("\n");
   }
 
-  // (c) execution substrate: the thread-per-rank reference path vs the
-  // engine-sharded path (submit_parallel), same algorithm, same binary,
-  // host wall-clock this time — the simulated makespan above deliberately
-  // excludes the substrate overheads (thread spawns, mailbox handoffs,
-  // per-message payload copies) that sharding exists to remove.
-  {
-    const std::size_t n = scaled_size(std::size_t{1} << 22);
-    const std::size_t p = 16;
-    const int reps = std::max(1, static_cast<int>(3 * bench_runs_percent() /
-                                                  100));
-    std::printf("--- (c) substrate: thread-per-rank vs engine-sharded, "
-                "N = %s, p = %zu (host wall clock) ---\n",
-                size_label(n).c_str(), p);
-    engine::BatchEngine& eng = engine::BatchEngine::shared();
-    parallel::warm_plans(p, n, /*protect=*/true);
-    parallel::warm_plans(p, n, /*protect=*/false);
-    TablePrinter table({"Variant", "reference", "sharded", "speedup"});
-    for (const auto& [name, opts] : variants) {
-      auto x = random_vector(n, InputDistribution::kUniform, 91 + p);
-      // One warm-up pass per path, then best-of-reps.
-      (void)parallel::parallel_fft(p, x, opts);
-      const double t_ref = bench::time_best(
-          reps, [&] { (void)parallel::parallel_fft(p, x, opts); });
-      (void)parallel::submit_parallel(p, x, opts, {}, &eng).get();
-      const double t_sh = bench::time_best(reps, [&] {
-        (void)parallel::submit_parallel(p, x, opts, {}, &eng).get();
-      });
-      table.add_row({name, TablePrinter::fixed(t_ref * 1e3, 1) + " ms",
-                     TablePrinter::fixed(t_sh * 1e3, 1) + " ms",
-                     TablePrinter::fixed(t_ref / t_sh, 2) + "x"});
-    }
-    table.print();
-    std::printf("\n");
-  }
-
-  std::printf(
-      "shape check: FT-FFTW > FFTW (checksum overhead); opt-FT-FFTW close "
-      "to FFTW; opt-FFTW <= FFTW; sharded >= 1.5x reference at 2^22.\n");
+  std::printf("shape check summary: %d of %zu checks FAIL\n", failures,
+              2 * 3 * ps.size());
   return 0;
 }

@@ -64,7 +64,7 @@ int main() {
               report.stats.mem_errors_corrected,
               report.comm_stats.comm_errors_corrected);
 
-  std::printf("per-phase split (wall / max rank CPU / modeled comm):\n");
+  std::printf("per-phase split (wall / max rank CPU / charged comm):\n");
   static const char* const kPhase[] = {"transpose1 + FFT1",
                                        "transpose2 + twiddle + FFT2",
                                        "transpose3 + adjust"};
@@ -77,13 +77,14 @@ int main() {
 
   // A modeled node loss: rank 3 dies entering phase 2. With a restart
   // budget the executor re-runs the whole transform from the (pristine)
-  // input, modeling failover to a spare node.
+  // input, modeling failover to a spare node. parallel_fft is the blocking
+  // form of the same submission: submit_parallel(...).get(&report).
   parallel::ParallelOptions failing = parallel::ParallelOptions::opt_ft_fftw();
   failing.net.fail_rank = 3;
   failing.net.fail_phase = 2;
   failing.max_rank_restarts = 1;
   parallel::ParallelReport recovered;
-  const auto y = parallel::parallel_fft_sharded(p, x, failing, &recovered);
+  const auto y = parallel::parallel_fft(p, x, failing, &recovered);
   worst = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     worst = std::max(worst, std::abs(y[j] - want[j]));

@@ -63,9 +63,9 @@ class DeadlineExceededError : public std::runtime_error {
 
 /// Thrown by the parallel runtime when a simulated rank fails outright
 /// (NetworkModel::fail_rank — a modeled node loss, not a data fault). The
-/// engine-sharded path can absorb a bounded number of these by restarting
-/// the transform from its input (ParallelOptions::max_rank_restarts); the
-/// thread-per-rank reference path always propagates it.
+/// executor absorbs a bounded number of these by restarting the transform
+/// from its input (ParallelOptions::max_rank_restarts) and propagates the
+/// rest.
 class RankFailedError : public std::runtime_error {
  public:
   explicit RankFailedError(const std::string& what)

@@ -8,10 +8,20 @@
 //   reception) -> FFT2 (one protected in-place n_loc-point FFT per rank,
 //   k*r*k plan from abft/inplace.hpp) -> transpose3 -> local adjustment.
 //
-// Every transposed block carries dual checksums; with overlap enabled the
-// checksum generation/verification and the twiddle ride under the
-// communication (section 6.1 / Algorithm 3), which is how opt-FT-FFTW
-// approaches the unprotected baseline in Fig. 8.
+// Execution (parallel/sharded_fft.cpp): the p simulated ranks are p lanes on
+// a BatchEngine. Each of the three communication phases is one
+// submit_tasks fan-out whose rank tasks pull their blocks straight from the
+// previous phase's shared array — the copy IS the message, with its dual
+// checksum generated inside the copy and verified on the receiver side —
+// and the phases chain through completion callbacks, so a submission never
+// blocks a caller thread.
+//
+// Time is modeled (parallel/network_model.hpp): per rank, measured
+// thread-CPU compute plus alpha-beta communication. Every transposed block
+// carries checksums; with overlap enabled the copy, checksum, verification,
+// CMCG and twiddle work of the block-pull loop rides under the transfer
+// (section 6.1 / Algorithm 3), so only the excess communication is charged
+// — which is how opt-FT-FFTW approaches the unprotected baseline in Fig. 8.
 #pragma once
 
 #include <array>
@@ -23,8 +33,8 @@
 #include "abft/options.hpp"
 #include "common/complex.hpp"
 #include "common/env.hpp"
-#include "parallel/comm.hpp"
-#include "parallel/transpose.hpp"
+#include "fault/injector.hpp"
+#include "parallel/network_model.hpp"
 
 namespace ftfft::engine {
 class BatchEngine;
@@ -40,92 +50,86 @@ struct ParallelOptions {
   double eta_override = 0.0;
   int max_retries = 4;
   NetworkModel net{};
-  std::uint64_t seed = 0x5EED;
 
   // Appended after the positionally-initialized preset fields, so the four
   // Fig. 8 variants inherit these defaults.
 
   /// Fuse the FFT2 checksum dot products into its butterfly passes
-  /// (abft::Options::fused_checksums, PR 6). Off by default — with it off
-  /// the sharded path is bit-identical to the reference path; detection /
-  /// correction outcomes are identical either way.
+  /// (abft::Options::fused_checksums). Detection / correction outcomes are
+  /// identical either way.
   bool fused_checksums = env_flag("FTFFT_FUSED_CHECKSUMS", false);
 
-  /// Sharded path (submit_parallel) only: whole-transform restarts allowed
-  /// when a modeled rank failure (NetworkModel::fail_rank) kills a phase —
-  /// the node-loss recovery the thread-per-rank reference path cannot
-  /// offer (it propagates RankFailedError).
+  /// Whole-transform restarts allowed when a modeled rank failure
+  /// (NetworkModel::fail_rank) kills a phase — node-loss recovery. 0 = the
+  /// RankFailedError propagates.
   int max_rank_restarts = 0;
 
   /// Maximum simultaneously corrupted elements per transposed block the
-  /// message checksums can correct (PR 9; abft::Options has the same knob
-  /// for the sequential schemes). 1 = today's dual-checksum payload
-  /// bit-for-bit; t > 1 ships 2t syndrome moments per block instead and
+  /// message checksums can correct (abft::Options has the same knob for the
+  /// sequential schemes). 1 = the classic dual-checksum trailer of 2
+  /// complex values; t > 1 ships 2t syndrome moments per block instead and
   /// decodes bursts through checksum::repair_errors. Clamped to
   /// [1, checksum::kMaxCorrectableErrors] at plan resolution. Default from
   /// FTFFT_MAX_ERRORS.
   int max_correctable_errors =
       static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
 
-  static ParallelOptions fftw() { return {false, false, false, 0, 4, {}, 0x5EED}; }
-  static ParallelOptions ft_fftw() { return {true, false, true, 0, 4, {}, 0x5EED}; }
-  static ParallelOptions opt_fftw() { return {false, true, false, 0, 4, {}, 0x5EED}; }
-  static ParallelOptions opt_ft_fftw() { return {true, true, true, 0, 4, {}, 0x5EED}; }
+  static ParallelOptions fftw() { return {false, false, false}; }
+  static ParallelOptions ft_fftw() { return {true, false, true}; }
+  static ParallelOptions opt_fftw() { return {false, true, false}; }
+  static ParallelOptions opt_ft_fftw() { return {true, true, true}; }
 };
 
-/// Communication/compute split of one sharded six-step phase (transpose1 +
-/// FFT1, transpose2 + twiddle + FFT2, transpose3 + adjust).
+/// Message-level outcome counters of the three transposes.
+struct TransposeStats {
+  std::size_t comm_errors_detected = 0;
+  std::size_t comm_errors_corrected = 0;
+  /// Corrections recovered by a multi-error decode fixing >= 2 elements of
+  /// one block (counts elements, so a 2-burst adds 2). Subset-adjacent to
+  /// comm_errors_corrected, which keeps counting blocks repaired.
+  std::size_t comm_multi_corrected = 0;
+  /// Payload plus checksum-trailer bytes over the modeled link (a transpose
+  /// is symmetric, so a rank sends as many as it receives).
+  std::size_t bytes_sent = 0;
+  /// Blocks received over the (simulated) link, resident block excluded.
+  /// Also the counter the NetworkModel::corrupt_every campaign knob ticks
+  /// against, so a rank's corruption pattern is a pure function of its
+  /// message count — deterministic across host thread schedules.
+  std::size_t messages_received = 0;
+
+  TransposeStats& operator+=(const TransposeStats& o) {
+    comm_errors_detected += o.comm_errors_detected;
+    comm_errors_corrected += o.comm_errors_corrected;
+    comm_multi_corrected += o.comm_multi_corrected;
+    bytes_sent += o.bytes_sent;
+    messages_received += o.messages_received;
+    return *this;
+  }
+};
+
+/// Communication/compute split of one six-step phase (transpose1 + FFT1,
+/// transpose2 + twiddle + FFT2, transpose3 + adjust).
 struct PhaseBreakdown {
   double wall_seconds = 0.0;     ///< host wall-clock time of the phase
   double max_cpu_seconds = 0.0;  ///< max per-rank thread-CPU seconds
-  double modeled_comm = 0.0;     ///< max per-rank alpha-beta modeled comm
+  double modeled_comm = 0.0;     ///< max per-rank charged comm seconds
 };
 
 /// Aggregated outcome of one distributed transform.
 struct ParallelReport {
   double makespan = 0.0;      ///< simulated seconds, max over ranks
   double max_compute = 0.0;   ///< max per-rank compute seconds
-  double max_comm = 0.0;      ///< max per-rank modeled comm seconds
+  /// Max per-rank charged comm seconds: the alpha-beta cost of the
+  /// transposes, minus the block-pull work hidden under it when overlap is
+  /// on, plus any straggler stall.
+  double max_comm = 0.0;
   std::size_t bytes_per_rank = 0;
   abft::Stats stats;          ///< summed over ranks
   TransposeStats comm_stats;  ///< summed over ranks
-
-  // ---- engine-sharded path only (submit_parallel) ----
-  bool sharded = false;           ///< produced by the sharded executor
   std::size_t rank_restarts = 0;  ///< whole-transform restarts absorbed
-  /// Per-phase comm/compute split; all zero on the reference path, whose
-  /// phases interleave per rank and cannot be separated after the fact.
+  /// Per-phase comm/compute split.
   std::array<PhaseBreakdown, 3> phases{};
 };
-
-/// Runs the distributed forward DFT of `input` (size N = p * n_loc,
-/// N divisible by p^2) on `p` simulated ranks and returns the transform in
-/// natural order. `arm` (optional) schedules faults on each rank's injector
-/// before the run. Requirements: p not divisible by 3 and, when protect is
-/// set, n_loc acceptable to abft::inplace_shape (any power of two >= 4 is).
-std::vector<cplx> parallel_fft(
-    std::size_t p, const std::vector<cplx>& input, const ParallelOptions& opts,
-    ParallelReport* report = nullptr,
-    const std::function<void(std::size_t rank, fault::Injector&)>& arm = {});
-
-// ---------------------------------------------------------------------------
-// Engine-sharded execution (parallel/sharded_fft.cpp).
-//
-// The thread-per-rank path above spawns p threads, runs mailbox exchanges
-// between them and copies every block through per-message payload buffers —
-// faithful to MPI semantics, but for one huge transform on one host the
-// synchronization and the extra copies are pure overhead. submit_parallel
-// executes the same six-step algorithm as p *lanes on a BatchEngine*: each
-// of the three communication phases is one submit_tasks fan-out whose rank
-// tasks pull their blocks directly from the previous phase's shared output
-// array (the "message" copy IS the transpose copy, with the dual message
-// checksum fused into it via checksum::copy_dual_sum), and phases chain
-// through completion callbacks, so one submission pipelines across the
-// worker pool with no rank threads, no mailboxes and no barrier. All
-// arithmetic that touches data is shared with or identical to the
-// reference path, so with fused_checksums off the output is bit-identical
-// to parallel_fft; protection semantics (per-block verification and repair,
-// CMCG, DMR twiddle, k*r*k FFT2, final adjust guards) are unchanged.
 
 namespace detail {
 struct ShardedState;  // completion state shared by executor and future
@@ -133,28 +137,33 @@ struct ShardedState;  // completion state shared by executor and future
 
 class ParallelFuture;
 
-/// Queues the distributed forward DFT of `input` (size N = p * n_loc, same
-/// geometry rules as parallel_fft) as three chained rank fan-outs on
-/// `engine` (nullptr = the process-wide engine::BatchEngine::shared()) and
-/// returns immediately. `input` is taken by value and owned by the
-/// submission. `arm` schedules faults per simulated rank before anything
-/// runs. Misuse (bad geometry) throws std::invalid_argument synchronously;
-/// execution failures surface from ParallelFuture::get.
+/// Queues the distributed forward DFT of `input` (size N = p * n_loc,
+/// N divisible by p^2) on `p` simulated ranks as three chained rank
+/// fan-outs on `engine` (nullptr = the process-wide
+/// engine::BatchEngine::shared()) and returns immediately; the future
+/// yields the transform in natural order.
+/// `input` is taken by value and owned by the submission. `arm` schedules
+/// faults per simulated rank before anything runs. Requirements: p >= 2,
+/// p not divisible by 3 and, when protect is set, n_loc acceptable to
+/// abft::inplace_shape (any power of two >= 4 is). Misuse throws
+/// std::invalid_argument synchronously; execution failures surface from
+/// ParallelFuture::get.
 ParallelFuture submit_parallel(
     std::size_t p, std::vector<cplx> input, const ParallelOptions& opts,
     const std::function<void(std::size_t rank, fault::Injector&)>& arm = {},
     engine::BatchEngine* engine = nullptr);
 
-/// Blocking convenience: submit_parallel(...).get(report).
-std::vector<cplx> parallel_fft_sharded(
+/// Blocking form: submit_parallel(p, input, opts, arm).get(report) on the
+/// shared engine.
+std::vector<cplx> parallel_fft(
     std::size_t p, const std::vector<cplx>& input, const ParallelOptions& opts,
     ParallelReport* report = nullptr,
     const std::function<void(std::size_t rank, fault::Injector&)>& arm = {});
 
-/// Completion handle for a sharded submission: wait for the transform,
-/// then collect the spectrum and the ParallelReport. Movable and copyable
-/// (all copies observe the same completion); get() hands the output out
-/// once and invalidates the handle, like std::future.
+/// Completion handle for a submit_parallel submission: wait for the
+/// transform, then collect the spectrum and the ParallelReport. Movable and
+/// copyable (all copies observe the same completion); get() hands the
+/// output out once and invalidates the handle, like std::future.
 class ParallelFuture {
  public:
   ParallelFuture() = default;  ///< invalid until assigned from submit_parallel

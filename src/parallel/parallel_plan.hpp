@@ -1,23 +1,18 @@
 // ParallelPlan: the immutable shared state of one (p, N) six-step
 // distributed transform, resolved once and cached process-wide.
 //
-// Before this existed every simulated rank rebuilt the setup on every call:
-// the p-point FFT1 input-checksum vector (rA) ran its DMR generation p
-// times per transform, the FFT2 k*r*k protection state was re-derived per
-// rank, and the mixed-radix sub-plans were resolved through the caches p
-// times from p concurrent threads. A ParallelPlan hoists all of it: the
-// checksum vector and the FFT2 ProtectionPlan are shared cache references,
-// the sub-FFT plan trees (p, k, r / n_loc) are pre-touched at build, and
-// the sigma-independent threshold coefficients are precomputed so the hot
-// path only pays roundoff::eta_from_coeff. Both parallel executors — the
-// thread-per-rank reference path (parallel_fft) and the engine-sharded path
-// (submit_parallel) — resolve the same plan, once per call / submission.
+// A ParallelPlan hoists the per-rank setup out of the rank tasks: the
+// p-point FFT1 input-checksum vector (rA) and the FFT2 k*r*k ProtectionPlan
+// are shared cache references, the sub-FFT plan trees (p, k, r / n_loc) are
+// pre-touched at build so no rank races through a cold plan build, and the
+// sigma-independent threshold coefficients are precomputed so the hot path
+// only pays roundoff::eta_from_coeff. submit_parallel (and parallel_fft,
+// which wraps it) resolves the plan once per submission.
 //
 // Plans live behind the shared LRU-bounded PlanRegistry and show up in
 // ftfft::plan_cache_stats() as "parallel-plan".
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -26,7 +21,6 @@
 #include "abft/protection_plan.hpp"
 #include "common/complex.hpp"
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 
 namespace ftfft::parallel {
 
@@ -116,7 +110,7 @@ class ParallelPlan {
 /// Pre-resolves everything a (p, n) distributed transform of the given
 /// protection level touches — the ParallelPlan itself, the rA vector, the
 /// FFT2 ProtectionPlan and the p / k / r / n_loc sub-FFT plan trees — so
-/// the first submit_parallel / parallel_fft call afterwards performs zero
+/// the first submit_parallel call afterwards performs zero
 /// rA generations and no plan builds. Returns the plan handle (keeping it
 /// alive pins the entry against LRU eviction).
 /// max_correctable_errors: 0 = the FTFFT_MAX_ERRORS process default, i.e.
@@ -126,33 +120,7 @@ std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,
                                                int max_correctable_errors = 0);
 
 namespace detail {
-
 using ftfft::detail::require;
-
-// The shared six-step arithmetic helpers. Exactly one definition serves the
-// thread-per-rank reference path and the engine-sharded path, so the two
-// stay bit-identical by construction, not by parallel maintenance.
-
-/// Unprotected twiddle: block[u] *= scale * omega_n^(u*step), recurrence
-/// with periodic resync (single pass, no redundancy).
-inline void plain_twiddle(cplx* block, std::size_t len, std::size_t n,
-                          std::size_t step, cplx scale) {
-  const cplx base = omega(n, step);
-  cplx w = scale;
-  for (std::size_t u = 0; u < len; ++u) {
-    if (u % 64 == 0) {
-      w = cmul(scale, omega(n, static_cast<std::uint64_t>(u) * step));
-    }
-    block[u] = cmul(block[u], w);
-    w = cmul(w, base);
-  }
-}
-
-/// RMS element scale from a total energy over n complex values.
-inline double sigma_of(double energy, std::size_t n) {
-  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
-}
-
 }  // namespace detail
 
 }  // namespace ftfft::parallel

@@ -1,28 +1,26 @@
-// Engine-sharded six-step FFT (submit_parallel / parallel_fft_sharded).
+// Six-step FFT executor behind submit_parallel / parallel_fft.
 //
-// Same algorithm, same arithmetic, different execution substrate than
-// parallel_fft.cpp: the p simulated ranks become p work items per phase on
-// a BatchEngine, and the three transposes become direct cache-blocked
-// copies between shared arrays — rank r's "receive of block q" is a single
-// pass that copies in[q] -> out[r], generates the sender's dual message
-// checksum inside that copy (checksum::copy_dual_sum, the communication
-// analogue of PR 6's staged-copy fusion) and verifies it on the receiver
-// side. Phases chain through BatchFuture::then callbacks, so a submission
-// never blocks a caller thread and consecutive huge transforms pipeline
-// across the pool.
+// The p simulated ranks become p work items per phase on a BatchEngine,
+// and the three transposes become direct cache-blocked copies between
+// shared arrays — rank r's "receive of block q" is a single pass that
+// copies in[q] -> out[r], generates the sender's dual message checksum
+// inside that copy (checksum::copy_dual_sum, the communication analogue of
+// the fused staged-copy checksums) and verifies it on the receiver side.
+// Phases chain through BatchFuture::then callbacks, so a submission never
+// blocks a caller thread and consecutive huge transforms pipeline across
+// the pool.
 //
-// Bit-compatibility contract (tested by ShardedMatchesReference*): with
-// fused_checksums off, the output equals parallel_fft's bit for bit,
-// because every operation that touches data — block copies, the FFT1
-// gather order and engine, the DMR / plain twiddle, the k*r*k FFT2, the
-// final scatter — is the same code or the same arithmetic. The only
-// differences are checksum accumulation order (ascending source rank here
-// vs resident-then-circle-schedule there), which changes checksum values
-// by round-off but never the data, and modeled-time bookkeeping.
+// Modeled time: each rank phase charges its thread-CPU time as compute and
+// (p-1) alpha-beta messages of bsz + 2t complex values as communication.
+// Under ParallelOptions::overlap (Algorithm 3) the block-pull loop — copy,
+// message checksum, verification, CMCG, DMR twiddle — is timed on its own
+// and hides that much of the transfer: the phase charges
+// max(0, comm - pull_cpu). A straggler stall is never hidden.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -184,8 +182,26 @@ namespace {
 
 using checksum::DualSum;
 using detail::ShardedState;
-using detail::plain_twiddle;
-using detail::sigma_of;
+
+/// Unprotected twiddle: block[u] *= scale * omega_n^(u*step), recurrence
+/// with periodic resync (single pass, no redundancy).
+void plain_twiddle(cplx* block, std::size_t len, std::size_t n,
+                   std::size_t step, cplx scale) {
+  const cplx base = omega(n, step);
+  cplx w = scale;
+  for (std::size_t u = 0; u < len; ++u) {
+    if (u % 64 == 0) {
+      w = cmul(scale, omega(n, static_cast<std::uint64_t>(u) * step));
+    }
+    block[u] = cmul(block[u], w);
+    w = cmul(w, base);
+  }
+}
+
+/// RMS element scale from a total energy over n complex values.
+double sigma_of(double energy, std::size_t n) {
+  return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
+}
 
 /// Per-worker-thread scratch, grown on demand and reused across phases and
 /// submissions (engine workers are persistent, so steady-state runs do no
@@ -211,7 +227,8 @@ void accumulate(abft::Stats& dst, const abft::Stats& s) {
   dst.eta_mem = std::max(dst.eta_mem, s.eta_mem);
 }
 
-// Same repair/throw semantics as the reference transpose receive path.
+// Verifies a received block against its sender-side dual checksum and
+// repairs a single corrupted element; throws when repair fails.
 void verify_block(cplx* block, std::size_t len, const DualSum& stored,
                   double eta, int max_retries, TransposeStats& stats) {
   const auto rep = checksum::repair_single_error(stored, block, 1, nullptr,
@@ -225,7 +242,8 @@ void verify_block(cplx* block, std::size_t len, const DualSum& stored,
   ++stats.comm_errors_corrected;
 }
 
-// Multi-error variant (plan max_errors > 1), mirroring the reference path.
+// Multi-error variant (plan max_errors > 1): the trailer carries 2t
+// syndrome moments and the decoder corrects up to t corruptions.
 void verify_block_multi(cplx* block, std::size_t len,
                         const checksum::SyndromeSet& stored, double eta,
                         int max_errors, const double* nodes,
@@ -245,10 +263,9 @@ void verify_block_multi(cplx* block, std::size_t len,
   }
 }
 
-/// Receiver-side block threshold, from this rank's pre-transpose slice —
-/// the same timing (and therefore the same value) as the reference path's
-/// block_eta(). Only called when the transpose actually carries checksums,
-/// so unprotected variants skip the energy sweep entirely.
+/// Receiver-side block threshold, from this rank's pre-transpose slice.
+/// Only called when the transpose actually carries checksums, so
+/// unprotected variants skip the energy sweep entirely.
 double transpose_eta(const ShardedState& st, const cplx* slice) {
   if (st.opts.eta_override > 0.0) return st.opts.eta_override;
   const double sigma =
@@ -256,11 +273,20 @@ double transpose_eta(const ShardedState& st, const cplx* slice) {
   return roundoff::eta_from_coeff(st.plan->eta_block_coeff(), sigma);
 }
 
+/// Wire size of one transposed block: bsz values plus, when checksummed,
+/// the 2t-value trailer (the dual checksum at t = 1, 2t syndrome moments
+/// above).
+std::size_t message_bytes(const ShardedState& st, bool checksums) {
+  const std::size_t trailer =
+      checksums ? 2 * static_cast<std::size_t>(st.plan->max_errors()) : 0;
+  return (st.bsz + trailer) * sizeof(cplx);
+}
+
 /// One transposed block, pulled straight from the previous phase's shared
 /// array: the copy IS the message. For a checksummed pull the sender dual
 /// checksum is generated inside the copy pass, then the modeled link
 /// corruption, the injected kCommBlock fault and the verification hit the
-/// received data — the exact fault window of the reference receive path.
+/// received data — the fault window between sender and receiver.
 void pull_block(ShardedState& st, std::size_t r, std::size_t q,
                 const cplx* src, cplx* dst, bool checksums, double eta,
                 TransposeStats& tstats) {
@@ -270,10 +296,10 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
     return;
   }
   const NetworkModel& net = st.opts.net;
-  tstats.bytes_sent += (bsz + (checksums ? 2 : 0)) * sizeof(cplx);
+  tstats.bytes_sent += message_bytes(st, checksums);
   // The corruption clock ticks on this rank's receive count across the
   // whole transform (previous phases live in rank_comm, the current one in
-  // tstats), matching the reference path's per-rank accumulated counter.
+  // tstats).
   const auto nth_message = [&] {
     return st.rank_comm[r].messages_received + tstats.messages_received;
   };
@@ -288,8 +314,7 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
   const int t_max = st.plan->max_errors();
   if (t_max > 1) {
     // Multi-error trailer: the "message" carries 2t syndrome moments,
-    // generated over the copied block before the in-flight fault window —
-    // the exact sender-side timing of the reference pack pass.
+    // generated over the copied block before the in-flight fault window.
     std::memcpy(dst, src, bsz * sizeof(cplx));
     const auto stored = checksum::syndrome_sum(
         nullptr, dst, bsz, 1, 2 * t_max, st.plan->syndrome_nodes_block());
@@ -311,9 +336,12 @@ void pull_block(ShardedState& st, std::size_t r, std::size_t q,
   verify_block(dst, bsz, stored, eta, st.opts.max_retries, tstats);
 }
 
+// Each phase returns the thread-CPU seconds of its block-pull loop, read off
+// the caller's phase timer: the work Algorithm 3 overlaps with the transfer.
+
 // Phase 1: transpose1 pull + CMCG + FFT1 (bsz p-point column FFTs).
-void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
-            abft::Stats& stats) {
+double phase1(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
+              TransposeStats& tstats, abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
@@ -330,14 +358,13 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
     s2.assign(bsz, cplx{0, 0});
     e_col.assign(bsz, 0.0);
   }
+  const double pull_start = cpu.elapsed();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.in.data() + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
     pull_block(st, r, q, src, dst, checksums, eta, tstats);
     if (protect) {
-      // CMCG fused into reception, like the reference on_block hook (the
-      // accumulation order is ascending q here — a round-off-level
-      // difference in the checksum values, never in the data).
+      // CMCG fused into reception, so overlap can hide it.
       const cplx w = plan.cp()[q];
       const double sd = static_cast<double>(q);
       for (std::size_t u = 0; u < bsz; ++u) {
@@ -348,6 +375,7 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
       }
     }
   }
+  const double pull_cpu = cpu.elapsed() - pull_start;
 
   // FFT1 over columns (stride bsz), gathered through an L1-resident tile of
   // rows so the p-strided column walk never leaves cache: copy tc columns'
@@ -409,12 +437,13 @@ void phase1(ShardedState& st, std::size_t r, TransposeStats& tstats,
                   cols * sizeof(cplx));
     }
   }
+  return pull_cpu;
 }
 
 // Phase 2: transpose2 pull + DMR twiddle + FFT2 (n_loc in-place k*r*k,
 // through the plan-cached ProtectionPlan — zero rA generations per call).
-void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
-            abft::Stats& stats) {
+double phase2(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
+              TransposeStats& tstats, abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
   const std::size_t p = st.p, n = st.n, n_loc = st.n_loc, bsz = st.bsz;
@@ -425,6 +454,7 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
 
   cplx* slice = st.buf2 + r * n_loc;
   cplx* tmp = thread_scratch(bsz);
+  const double pull_start = cpu.elapsed();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf1 + q * n_loc + r * bsz;
     cplx* dst = slice + q * bsz;
@@ -440,6 +470,7 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
       plain_twiddle(dst, bsz, n, r, scale);
     }
   }
+  const double pull_cpu = cpu.elapsed() - pull_start;
 
   if (protect) {
     abft::Options aopts = abft::Options::online_opt(opts.memory_ft);
@@ -452,12 +483,13 @@ void phase2(ShardedState& st, std::size_t r, TransposeStats& tstats,
     fft::Fft engine(n_loc);
     engine.execute_inplace(slice);
   }
+  return pull_cpu;
 }
 
 // Phase 3: transpose3 pull + cache-blocked local adjust with per-block
 // memory guards over the final output.
-void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
-            abft::Stats& stats) {
+double phase3(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
+              TransposeStats& tstats, abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
   const ParallelPlan& plan = *st.plan;
   const std::size_t p = st.p, n_loc = st.n_loc, bsz = st.bsz;
@@ -467,10 +499,12 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
       checksums ? transpose_eta(st, st.buf2 + r * n_loc) : 0.0;
 
   cplx* loc = thread_scratch(n_loc);
+  const double pull_start = cpu.elapsed();
   for (std::size_t q = 0; q < p; ++q) {
     const cplx* src = st.buf2 + q * n_loc + r * bsz;
     pull_block(st, r, q, src, loc + q * bsz, checksums, eta, tstats);
   }
+  const double pull_cpu = cpu.elapsed() - pull_start;
 
   std::vector<DualSum> guards;
   if (checksums) {
@@ -517,6 +551,7 @@ void phase3(ShardedState& st, std::size_t r, TransposeStats& tstats,
       }
     }
   }
+  return pull_cpu;
 }
 
 void run_phase(ShardedState& st, int phase, std::size_t r) {
@@ -534,10 +569,11 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   ThreadCpuTimer cpu;
   TransposeStats tstats;
   abft::Stats astats;
+  double pull_cpu = 0.0;
   switch (phase) {
-    case 0: phase1(st, r, tstats, astats); break;
-    case 1: phase2(st, r, tstats, astats); break;
-    default: phase3(st, r, tstats, astats); break;
+    case 0: pull_cpu = phase1(st, r, cpu, tstats, astats); break;
+    case 1: pull_cpu = phase2(st, r, cpu, tstats, astats); break;
+    default: pull_cpu = phase3(st, r, cpu, tstats, astats); break;
   }
   const double t = cpu.elapsed();
 
@@ -546,12 +582,14 @@ void run_phase(ShardedState& st, int phase, std::size_t r) {
   st.phase_cpu[phase][r] = t;
   st.rank_cpu[r] += t;
 
-  // Modeled communication of this rank's p-1 exchanges (same alpha-beta
-  // model as the reference path), plus the straggler penalty.
+  // Modeled communication of this rank's p-1 exchanges. Under Algorithm 3
+  // the transfer rides under the pull loop's work, so only the excess is
+  // charged; the straggler penalty cannot be hidden.
   const bool checksums = st.opts.protect && st.opts.memory_ft;
-  const std::size_t payload = st.bsz + (checksums ? 2 : 0);
+  const double transfer = static_cast<double>(st.p - 1) *
+                          net.cost(message_bytes(st, checksums));
   double comm =
-      static_cast<double>(st.p - 1) * net.cost(payload * sizeof(cplx));
+      st.opts.overlap ? std::max(0.0, transfer - pull_cpu) : transfer;
   if (r == net.stall_rank) {
     comm += static_cast<double>(st.p - 1) * net.stall_seconds;
   }
@@ -578,7 +616,6 @@ void reset_accumulators(ShardedState& st) {
 
 void finalize(const std::shared_ptr<ShardedState>& st) {
   ParallelReport rep;
-  rep.sharded = true;
   rep.rank_restarts = static_cast<std::size_t>(st->restarts_done);
   for (std::size_t r = 0; r < st->p; ++r) {
     accumulate(rep.stats, st->rank_stats[r]);
@@ -734,7 +771,7 @@ ParallelFuture submit_parallel(
   return ParallelFuture(std::move(st));
 }
 
-std::vector<cplx> parallel_fft_sharded(
+std::vector<cplx> parallel_fft(
     std::size_t p, const std::vector<cplx>& input, const ParallelOptions& opts,
     ParallelReport* report,
     const std::function<void(std::size_t, fault::Injector&)>& arm) {

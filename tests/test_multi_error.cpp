@@ -493,7 +493,7 @@ TEST(MultiErrorParallel, ShardedPathMatches) {
   auto opts = parallel::ParallelOptions::opt_ft_fftw();
   opts.max_correctable_errors = 2;
   parallel::ParallelReport report;
-  const auto got = parallel::parallel_fft_sharded(
+  const auto got = parallel::parallel_fft(
       p, x, opts, &report, [](std::size_t rank, fault::Injector& inj) {
         if (rank == 1) {
           inj.schedule(

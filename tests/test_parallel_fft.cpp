@@ -14,8 +14,16 @@
 namespace ftfft {
 namespace {
 
+using parallel::NetworkModel;
 using parallel::ParallelOptions;
 using parallel::ParallelReport;
+
+TEST(NetworkModel, CostIsAffine) {
+  NetworkModel net{1e-6, 1e9};
+  EXPECT_DOUBLE_EQ(net.cost(0), 1e-6);
+  EXPECT_DOUBLE_EQ(net.cost(1000000000), 1.0 + 1e-6);
+  EXPECT_GT(net.cost(2048), net.cost(1024));
+}
 
 void expect_matches_sequential(const std::vector<cplx>& x,
                                const std::vector<cplx>& got) {
@@ -58,20 +66,20 @@ TEST_P(ParallelVariant, MatchesSequentialAcrossShapes) {
   }
 }
 
-TEST_P(ParallelVariant, ShardedMatchesReferenceBitExact) {
-  // The engine-sharded executor must reproduce the thread-per-rank path bit
-  // for bit (fused checksums pinned off), for every variant, independent of
-  // how many workers the engine shards across.
-  ParallelOptions opts = variant(GetParam());
-  opts.fused_checksums = false;
+TEST_P(ParallelVariant, BitIdenticalAcrossEngineWidths) {
+  // The spectrum must not depend on how many workers the rank tasks are
+  // sharded across: a one-worker engine, which runs every rank task in
+  // sequence, is the oracle for two and four workers.
+  const ParallelOptions opts = variant(GetParam());
   for (const auto& [p, n] : std::vector<std::pair<std::size_t, std::size_t>>{
            {4, 1024}, {8, 4096}}) {
     auto x = random_vector(n, InputDistribution::kUniform, 500 + n + p);
-    const auto want = parallel::parallel_fft(p, x, opts);
-    for (std::size_t threads : {1u, 2u, 4u}) {
+    engine::BatchEngine serial(1);
+    const auto want = parallel::submit_parallel(p, x, opts, {}, &serial).get();
+    expect_matches_sequential(x, want);
+    for (std::size_t threads : {2u, 4u}) {
       engine::BatchEngine eng(threads);
-      auto fut = parallel::submit_parallel(p, x, opts, {}, &eng);
-      const auto got = fut.get();
+      const auto got = parallel::submit_parallel(p, x, opts, {}, &eng).get();
       ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(cplx)), 0)
           << "p=" << p << " n=" << n << " threads=" << threads;
@@ -200,46 +208,78 @@ TEST(ParallelFft, TheTable2Scenario2m2c) {
 }
 
 TEST(ParallelFft, OverlapNeverSlowerThanBlocking) {
+  // Algorithm 3 hides the block-pull work under the transfer, so the
+  // overlapped variants charge strictly less communication than their
+  // blocking twins and never take longer. Makespans add measured thread-CPU
+  // time, which host noise only ever inflates, so the pair runs interleaved
+  // (alternating which goes first) on a one-worker engine, where no rank
+  // task shares the host with another, and the best of 25 runs of each is
+  // compared.
   const std::size_t p = 8, n = 1 << 14;
   auto x = random_vector(n, InputDistribution::kUniform, 43);
-  ParallelReport blocking, overlapped;
-  parallel::parallel_fft(p, x, ParallelOptions::ft_fftw(), &blocking);
-  parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(), &overlapped);
-  EXPECT_LT(overlapped.makespan, blocking.makespan * 1.05);
+  engine::BatchEngine eng(1);
+  const auto best_pair = [&](const ParallelOptions& blocking,
+                             const ParallelOptions& overlapped) {
+    std::pair<ParallelReport, ParallelReport> best;
+    (void)parallel::submit_parallel(p, x, blocking, {}, &eng).get();
+    (void)parallel::submit_parallel(p, x, overlapped, {}, &eng).get();
+    for (int rep = 0; rep < 25; ++rep) {
+      ParallelReport b, o;
+      if (rep % 2 == 0) {
+        (void)parallel::submit_parallel(p, x, blocking, {}, &eng).get(&b);
+        (void)parallel::submit_parallel(p, x, overlapped, {}, &eng).get(&o);
+      } else {
+        (void)parallel::submit_parallel(p, x, overlapped, {}, &eng).get(&o);
+        (void)parallel::submit_parallel(p, x, blocking, {}, &eng).get(&b);
+      }
+      if (rep == 0 || b.makespan < best.first.makespan) best.first = b;
+      if (rep == 0 || o.makespan < best.second.makespan) best.second = o;
+    }
+    return best;
+  };
+  const auto [ft, opt_ft] =
+      best_pair(ParallelOptions::ft_fftw(), ParallelOptions::opt_ft_fftw());
+  EXPECT_LT(opt_ft.max_comm, ft.max_comm);
+  EXPECT_LT(opt_ft.makespan, ft.makespan * 1.05);
+  const auto [plain, opt_plain] =
+      best_pair(ParallelOptions::fftw(), ParallelOptions::opt_fftw());
+  EXPECT_LT(opt_plain.max_comm, plain.max_comm);
+  EXPECT_LE(opt_plain.makespan, plain.makespan);
 }
 
 TEST(ParallelFft, ReportsCommunicationBytes) {
+  // Three transposes, each sending (p-1) blocks of bsz values plus the
+  // checksum trailer: the dual checksum (2 values) at t = 1, 2t syndrome
+  // moments above. The modeled transfer is charged on the same wire size.
   const std::size_t p = 4, n = 1024;
-  auto x = random_vector(n, InputDistribution::kUniform, 45);
-  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
-  // Pin the budget: the dual-checksum trailer is 2 complex values at t = 1
-  // and 2t syndrome moments above (the wire format under test here).
-  opts.max_correctable_errors = 1;
-  ParallelReport report;
-  parallel::parallel_fft(p, x, opts, &report);
-  // Three transposes, each sending (p-1) blocks of (bsz + 2) complex.
   const std::size_t bsz = n / (p * p);
-  EXPECT_EQ(report.bytes_per_rank,
-            3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+  auto x = random_vector(n, InputDistribution::kUniform, 45);
+  for (const int t : {1, 2}) {
+    SCOPED_TRACE(t);
+    ParallelOptions opts = ParallelOptions::ft_fftw();
+    opts.max_correctable_errors = t;
+    ParallelReport report;
+    parallel::parallel_fft(p, x, opts, &report);
+    const std::size_t message = (bsz + 2 * t) * sizeof(cplx);
+    EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * message);
+    EXPECT_DOUBLE_EQ(report.max_comm,
+                     3.0 * static_cast<double>(p - 1) * opts.net.cost(message));
+  }
 }
 
-TEST(ParallelFft, LinkCorruptionCorrectedIdenticallyOnBothPaths) {
+TEST(ParallelFft, LinkCorruptionCorrectedOncePerRank) {
   // Modeled link corruption (every 5th received block per rank): each rank
   // receives 9 blocks across the three transposes, so exactly one fires per
-  // rank on either execution substrate, and all are repaired in place.
+  // rank, and all are repaired in place.
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 49);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   opts.net.corrupt_every = 5;
-  ParallelReport ref, sh;
-  const auto want = parallel::parallel_fft(p, x, opts, &ref);
-  const auto got = parallel::parallel_fft_sharded(p, x, opts, &sh);
-  expect_matches_sequential(x, want);
+  ParallelReport report;
+  const auto got = parallel::parallel_fft(p, x, opts, &report);
   expect_matches_sequential(x, got);
-  EXPECT_EQ(ref.comm_stats.comm_errors_detected, p);
-  EXPECT_EQ(ref.comm_stats.comm_errors_corrected, p);
-  EXPECT_EQ(sh.comm_stats.comm_errors_detected, p);
-  EXPECT_EQ(sh.comm_stats.comm_errors_corrected, p);
+  EXPECT_EQ(report.comm_stats.comm_errors_detected, p);
+  EXPECT_EQ(report.comm_stats.comm_errors_corrected, p);
 }
 
 TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
@@ -260,12 +300,13 @@ TEST(ParallelFft, LinkCorruptionSilentlyPoisonsUnprotectedVariant) {
   EXPECT_TRUE(corrupted);
 }
 
-TEST(ParallelFft, RankFailurePropagatesOnReferencePath) {
+TEST(ParallelFft, RankFailurePropagatesWithoutRestartBudget) {
   const std::size_t p = 4, n = 1024;
   auto x = random_vector(n, InputDistribution::kUniform, 53);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   opts.net.fail_rank = 2;
   opts.net.fail_phase = 2;
+  opts.max_rank_restarts = 0;
   EXPECT_THROW(parallel::parallel_fft(p, x, opts), RankFailedError);
 }
 

@@ -1,6 +1,6 @@
-// Engine-sharded parallel FFT: async API, plan caching, fault campaigns
+// Engine-sharded parallel FFT: async API, plan caching, and fault campaigns
 // over the modeled network (link corruption, stragglers, rank failure with
-// restart recovery), and parity with the thread-per-rank reference path.
+// restart recovery).
 //
 // Every campaign asserts exact deterministic counter values, so running
 // this suite under FTFFT_SIMD=scalar / avx2 / neon (CI does) proves the
@@ -48,16 +48,21 @@ TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
   const auto got = fut.get(&report);
   EXPECT_FALSE(fut.valid()) << "get() is one-shot";
   expect_matches_sequential(x, got);
-  EXPECT_TRUE(report.sharded);
   EXPECT_EQ(report.rank_restarts, 0u);
   EXPECT_EQ(report.stats.comp_errors_detected, 0u);
   EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
   // Three phases ran and were timed; comm/compute split is per phase.
+  // Overlap hides up to the whole transfer under the block-pull work, so a
+  // phase charges between nothing and its (p-1) unhidden messages.
+  const std::size_t bsz = n / (p * p);
+  const double transfer = static_cast<double>(p - 1) *
+                          ParallelOptions{}.net.cost((bsz + 2) * sizeof(cplx));
   for (int ph = 0; ph < 3; ++ph) {
     EXPECT_GT(report.phases[ph].wall_seconds, 0.0) << "phase " << ph;
-    EXPECT_GT(report.phases[ph].modeled_comm, 0.0) << "phase " << ph;
+    EXPECT_GT(report.phases[ph].max_cpu_seconds, 0.0) << "phase " << ph;
+    EXPECT_GE(report.phases[ph].modeled_comm, 0.0) << "phase " << ph;
+    EXPECT_LE(report.phases[ph].modeled_comm, transfer) << "phase " << ph;
   }
-  const std::size_t bsz = n / (p * p);
   EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * (bsz + 2) * sizeof(cplx));
   EXPECT_THROW(parallel::ParallelFuture{}.wait(), std::invalid_argument);
 }
@@ -71,10 +76,12 @@ TEST(ShardedFuture, RejectsBadGeometrySynchronously) {
 }
 
 TEST(ShardedCampaign, OutcomesMatchReferencePathCounters) {
-  // The same armed campaign (FFT1 computational fault, in-flight block
-  // corruption, final-output memory fault) must produce the same detection
-  // and correction counts on both execution substrates, and both must
-  // deliver the exact spectrum.
+  // An armed campaign (FFT1 computational fault, in-flight block
+  // corruption, final-output memory fault) must deliver the exact spectrum
+  // with exactly these detection and correction counts. The values were
+  // read from the thread-per-rank reference executor, which this one
+  // replaced, on the same campaign; they are identical under every SIMD
+  // backend and with fused checksums on or off.
   const std::size_t p = 4, n = 4096;
   const auto x = random_vector(n, InputDistribution::kUniform, 73);
   const auto arm = [](std::size_t rank, fault::Injector& inj) {
@@ -91,21 +98,19 @@ TEST(ShardedCampaign, OutcomesMatchReferencePathCounters) {
                                                 100, {42.0, -42.0}));
     }
   };
-  ParallelReport ref, sh;
-  const auto want =
-      parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(), &ref, arm);
-  const auto got = parallel::parallel_fft_sharded(
-      p, x, ParallelOptions::opt_ft_fftw(), &sh, arm);
-  expect_matches_sequential(x, want);
+  ParallelReport report;
+  const auto got =
+      parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(), &report, arm);
   expect_matches_sequential(x, got);
-  EXPECT_EQ(sh.stats.comp_errors_detected, ref.stats.comp_errors_detected);
-  EXPECT_EQ(sh.stats.sub_fft_retries, ref.stats.sub_fft_retries);
-  EXPECT_EQ(sh.stats.mem_errors_corrected, ref.stats.mem_errors_corrected);
-  EXPECT_EQ(sh.comm_stats.comm_errors_detected,
-            ref.comm_stats.comm_errors_detected);
-  EXPECT_EQ(sh.comm_stats.comm_errors_corrected,
-            ref.comm_stats.comm_errors_corrected);
-  EXPECT_EQ(sh.comm_stats.messages_received, ref.comm_stats.messages_received);
+  EXPECT_EQ(report.stats.comp_errors_detected, 1u);
+  EXPECT_EQ(report.stats.sub_fft_retries, 1u);
+  EXPECT_EQ(report.stats.mem_errors_detected, 1u);
+  EXPECT_EQ(report.stats.mem_errors_corrected, 1u);
+  EXPECT_EQ(report.stats.dmr_mismatches, 0u);
+  EXPECT_EQ(report.stats.verifications, 1557u);
+  EXPECT_EQ(report.comm_stats.comm_errors_detected, 1u);
+  EXPECT_EQ(report.comm_stats.comm_errors_corrected, 1u);
+  EXPECT_EQ(report.comm_stats.messages_received, 36u);
 }
 
 TEST(ShardedCampaign, FusedAndSeparateChecksumsIdenticalOutcomes) {
@@ -129,8 +134,8 @@ TEST(ShardedCampaign, FusedAndSeparateChecksumsIdenticalOutcomes) {
   ParallelOptions fused = separate;
   fused.fused_checksums = true;
   ParallelReport rs, rf;
-  const auto ys = parallel::parallel_fft_sharded(p, x, separate, &rs, arm);
-  const auto yf = parallel::parallel_fft_sharded(p, x, fused, &rf, arm);
+  const auto ys = parallel::parallel_fft(p, x, separate, &rs, arm);
+  const auto yf = parallel::parallel_fft(p, x, fused, &rf, arm);
   expect_matches_sequential(x, ys);
   EXPECT_EQ(std::memcmp(ys.data(), yf.data(), n * sizeof(cplx)), 0);
   EXPECT_EQ(rs.stats.comp_errors_detected, rf.stats.comp_errors_detected);
@@ -147,14 +152,14 @@ TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
   ParallelOptions failing = ParallelOptions::opt_ft_fftw();
   failing.net.fail_rank = 1;
   failing.net.fail_phase = 2;
-  EXPECT_THROW(parallel::parallel_fft_sharded(p, x, failing), RankFailedError);
+  EXPECT_THROW(parallel::parallel_fft(p, x, failing), RankFailedError);
 
   // With one restart allowed, the transform completes exactly and the
   // report shows the absorbed failover; counters equal a clean run's.
   ParallelOptions recovering = failing;
   recovering.max_rank_restarts = 1;
   ParallelReport report;
-  const auto got = parallel::parallel_fft_sharded(p, x, recovering, &report);
+  const auto got = parallel::parallel_fft(p, x, recovering, &report);
   expect_matches_sequential(x, got);
   EXPECT_EQ(report.rank_restarts, 1u);
   EXPECT_EQ(report.stats.comp_errors_detected, 0u);
@@ -175,7 +180,7 @@ TEST(ShardedCampaign, RankFailurePlusTransientFaultStillExact) {
   opts.net.fail_phase = 1;
   opts.max_rank_restarts = 1;
   ParallelReport report;
-  const auto got = parallel::parallel_fft_sharded(
+  const auto got = parallel::parallel_fft(
       p, x, opts, &report, [](std::size_t rank, fault::Injector& inj) {
         if (rank == 0) {
           inj.schedule(fault::FaultSpec::computational(
@@ -190,11 +195,11 @@ TEST(ShardedCampaign, StragglerRankRaisesModeledComm) {
   const std::size_t p = 4, n = 4096;
   const auto x = random_vector(n, InputDistribution::kUniform, 77);
   ParallelReport clean, stalled;
-  parallel::parallel_fft_sharded(p, x, ParallelOptions::opt_ft_fftw(), &clean);
+  parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(), &clean);
   ParallelOptions opts = ParallelOptions::opt_ft_fftw();
   opts.net.stall_rank = 1;
   opts.net.stall_seconds = 1e-3;
-  const auto got = parallel::parallel_fft_sharded(p, x, opts, &stalled);
+  const auto got = parallel::parallel_fft(p, x, opts, &stalled);
   expect_matches_sequential(x, got);
   // Three phases x (p-1) stalled messages each.
   EXPECT_GE(stalled.max_comm,
