@@ -6,10 +6,8 @@
 // thread and (b) on BatchEngine at several worker counts; the table reports
 // transforms/second and the speedup over the serial loop. A second table
 // splits a batch into ABFT setup vs transform time to show the
-// ProtectionPlan amortization (setup once per batch instead of per lane),
-// and a third compares the fused radix-4 in-place kernel against the
-// classic radix-2 schedule on single transforms. A fourth table measures
-// the async submission pipeline: the same work split into many jobs,
+// ProtectionPlan amortization (setup once per batch instead of per lane).
+// A third table measures the async submission pipeline: the same work split into many jobs,
 // submitted blocking one-by-one vs queued all at once through
 // submit_batch futures (workers flow into the next job while stragglers
 // finish the previous one). The run ends with the per-cache plan
@@ -26,7 +24,6 @@
 #include "checksum/weights.hpp"
 #include "common/rng.hpp"
 #include "core/ftfft.hpp"
-#include "fft/inplace_radix2.hpp"
 #include "simd/dispatch.hpp"
 
 namespace {
@@ -285,29 +282,6 @@ int main() {
     }
     sched.print();
   }
-
-  std::printf("\nradix-4 vs radix-2 in-place kernel (single transform)\n\n");
-  TablePrinter kernel_table({"n", "radix-2 (us)", "radix-4 (us)", "speedup"});
-  for (std::size_t kn : {1u << 10, 1u << 12, 1u << 14, 1u << 16, 1u << 18}) {
-    const auto plan = fft::InplaceRadix2Plan::get(kn);
-    auto base = random_vector(kn, InputDistribution::kUniform, 7);
-    std::vector<cplx> work(kn);
-    const int kernel_reps = static_cast<int>(scaled_runs(40));
-    const double t2 = bench::time_best(kernel_reps, [&] {
-      std::copy(base.begin(), base.end(), work.begin());
-      plan->forward_radix2(work.data());
-    });
-    const double t4 = bench::time_best(kernel_reps, [&] {
-      std::copy(base.begin(), base.end(), work.begin());
-      plan->forward(work.data());
-    });
-    char speedup[32];
-    std::snprintf(speedup, sizeof speedup, "%.2f", t2 / t4);
-    kernel_table.add_row({bench::size_label(kn),
-                          TablePrinter::fixed(t2 * 1e6, 1),
-                          TablePrinter::fixed(t4 * 1e6, 1), speedup});
-  }
-  kernel_table.print();
 
   // ------------------------------------------------- plan cache traffic
   // The tuning feed for FTFFT_PLAN_CACHE_CAP: steady evictions with a low

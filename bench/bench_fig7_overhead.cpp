@@ -9,7 +9,18 @@
 // Expected shape (paper section 9.2.1): the naive offline scheme is the
 // most expensive (per-element trig generation of rA); the optimized online
 // scheme undercuts the optimized offline scheme in (a) and stays comparable
-// in (b).
+// in (b). After each table the bench prints PASS/FAIL lines computed from
+// the table's own times, per size:
+//   - Offline highest          (naive offline costs the most);
+//   - Opt-Online < Opt-Offline (panel (a), memory-bound sizes >= 2^21);
+//   - Opt-Online ~ Opt-Offline (panel (b), memory-bound sizes: overheads
+//                               within kComparablePoints of each other);
+//   - Fused <= Opt-Online      (within kPairNoise of the interleaved pair).
+// The overheads are taken against Options::none(), the plain fft::Fft on
+// the in-place engine. A FAIL is reported, not hidden; the exit status
+// stays 0.
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "abft/options.hpp"
@@ -22,6 +33,22 @@ namespace {
 
 using namespace ftfft;
 using bench::size_label;
+
+/// Sizes from which the transform streams from DRAM on the reference host
+/// (2^25+ in the paper): the Opt-Online vs Opt-Offline rules apply there.
+constexpr std::size_t kMemoryBound = std::size_t{1} << 21;
+/// Panel (b)'s "comparable": overhead percentages at most this many points
+/// apart.
+constexpr double kComparablePoints = 10.0;
+/// Fused vs Opt-Online is timed as an interleaved pair; differences below
+/// this fraction are noise (the A/A floor of the pairing is about 1%).
+constexpr double kPairNoise = 0.02;
+
+/// One table row: best times (s) of the unprotected baseline and each scheme.
+struct Row {
+  std::size_t n;
+  double base, off_naive, off_opt, on_naive, on_opt, on_fused;
+};
 
 double run_scheme(std::size_t n, const abft::Options& opts, int reps) {
   auto x = random_vector(n, InputDistribution::kUniform, 42 + n);
@@ -67,8 +94,42 @@ std::pair<double, double> run_scheme_pair(std::size_t n,
   return {ta, tb};
 }
 
-void run_panel(const char* title, bool memory_ft,
-               const std::vector<std::size_t>& sizes, int reps) {
+/// Prints one PASS/FAIL line per (size, shape rule) and returns the number of
+/// failures.
+int print_shape_checks(const char* tag, bool memory_ft,
+                       const std::vector<Row>& rows) {
+  int failures = 0;
+  auto check = [&](const Row& r, const char* rule, bool ok, double a,
+                   double b) {
+    failures += ok ? 0 : 1;
+    std::printf("shape check %s n=%-5s %-26s %s (%.1f%% vs %.1f%%)\n", tag,
+                size_label(r.n).c_str(), rule, ok ? "PASS" : "FAIL", a, b);
+  };
+  for (const Row& r : rows) {
+    auto pct = [&](double t) { return bench::overhead_pct(t, r.base); };
+    const double others =
+        std::max({r.off_opt, r.on_naive, r.on_opt, r.on_fused});
+    check(r, "Offline highest", r.off_naive > others, pct(r.off_naive),
+          pct(others));
+    if (r.n >= kMemoryBound) {
+      if (memory_ft) {
+        check(r, "Opt-Online ~ Opt-Offline",
+              std::abs(pct(r.on_opt) - pct(r.off_opt)) <= kComparablePoints,
+              pct(r.on_opt), pct(r.off_opt));
+      } else {
+        check(r, "Opt-Online < Opt-Offline", r.on_opt < r.off_opt,
+              pct(r.on_opt), pct(r.off_opt));
+      }
+    }
+    check(r, "Fused <= Opt-Online", r.on_fused <= r.on_opt * (1 + kPairNoise),
+          pct(r.on_fused), pct(r.on_opt));
+  }
+  return failures;
+}
+
+/// Runs and prints one panel; returns its shape-check failures.
+int run_panel(const char* title, const char* tag, bool memory_ft,
+              const std::vector<std::size_t>& sizes, int reps) {
   std::printf("--- %s ---\n", title);
   // "Fused-Online" is Opt-Online plus the PR-6 kernel fusion: the checksum
   // dots accumulate inside the butterfly passes (TurboFFT-style) instead of
@@ -76,6 +137,7 @@ void run_panel(const char* title, bool memory_ft,
   TablePrinter table({"Problem Size", "Offline", "Opt-Offline",
                       memory_ft ? "Online" : "CFTO-Online", "Opt-Online",
                       "Fused-Online"});
+  std::vector<Row> rows;
   for (std::size_t n : sizes) {
     const double t0 = run_scheme(n, abft::Options::none(), reps);
     const double t_off_naive =
@@ -97,9 +159,14 @@ void run_panel(const char* title, bool memory_ft,
          TablePrinter::percent(bench::overhead_pct(t_on_naive, t0) / 100.0),
          TablePrinter::percent(bench::overhead_pct(t_on_opt, t0) / 100.0),
          TablePrinter::percent(bench::overhead_pct(t_on_fused, t0) / 100.0)});
+    rows.push_back(
+        {n, t0, t_off_naive, t_off_opt, t_on_naive, t_on_opt, t_on_fused});
   }
   table.print();
   std::printf("\n");
+  const int failures = print_shape_checks(tag, memory_ft, rows);
+  std::printf("\n");
+  return failures;
 }
 
 }  // namespace
@@ -113,10 +180,12 @@ int main() {
     sizes.push_back(scaled_size(base));
   }
   const int reps = static_cast<int>(scaled_runs(2));
-  run_panel("(a) computational FT", false, sizes, reps);
-  run_panel("(b) computational + memory FT", true, sizes, reps);
-  std::printf(
-      "shape check: Offline (naive) highest everywhere. At memory-bound sizes "
-      "(>= 2^21 here, 2^25+ in the paper) Opt-Online undercuts Opt-Offline in\n(a) and stays comparable in (b); at compute-bound sizes the explicit\ndecomposition is visible as structural overhead.\nFused-Online undercuts Opt-Online wherever a sub-size passes the\nfused_profitable gate (>= 512, != 2048): the input dot rides the sub-FFT\nstaging copy and the output dot the final streaming stage. Sub-sizes the\ngate rejects run the identical separate-pass code in both columns, so\nthose rows read as 'even within noise' — e.g. 2^22 = 2048 x 2048 sits\nentirely at the gated L1-edge size. Expect Fused-Online at or below\nOpt-Online on every row, clearly below at 2^19/2^20.\n");
+  int failures = run_panel("(a) computational FT", "(a)", false, sizes, reps);
+  failures +=
+      run_panel("(b) computational + memory FT", "(b)", true, sizes, reps);
+  std::size_t checks = 0;
+  for (std::size_t n : sizes) checks += 2 * (n >= kMemoryBound ? 3 : 2);
+  std::printf("shape check summary: %d of %zu checks FAIL\n", failures,
+              checks);
   return 0;
 }

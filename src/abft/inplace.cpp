@@ -119,7 +119,7 @@ class InplaceRun {
     // Fused checksums (PR 6): the gathered buffer is contiguous, so the
     // in-place engine can run it and accumulate both checksum dots in the
     // butterfly passes instead of the standalone sweeps below — at the
-    // sub-sizes where the engine swap profits on the gather-hot buffer
+    // sub-sizes where fusion profits on the gather-hot buffer
     // (fused_profitable; tests override with fused_ignore_profitability).
     const bool combined_ccg = opts_.memory_ft && opts_.combined_checksums;
     const fft::InplaceRadix2Plan* fused =

@@ -156,8 +156,8 @@ class OnlineRun {
     // the in-place engine's forward_fused, which accumulates the input rA
     // dot on its copy pass and the omega3 output checksum inside the
     // streaming passes. Unbuffered strided sub-FFTs (and non-pow2 m) keep
-    // the separate-pass reference, as do the sub-sizes where the in-place
-    // engine swap measures slower on hot staged inputs
+    // the separate-pass reference, as do the sub-sizes where fusion
+    // measures slower on hot staged inputs
     // (fused_profitable; tests override with fused_ignore_profitability).
     const bool combined_ccg = have_cmcg && opts_.combined_checksums;
     const fft::InplaceRadix2Plan* fused =

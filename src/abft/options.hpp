@@ -67,8 +67,8 @@ struct Options {
   /// the detection thresholds (the input dot and the cache-resident output
   /// sweep are bit-identical per backend). Ineligible shapes
   /// (non-power-of-two sub-sizes, unstaged strided inputs) and scheme
-  /// sub-sizes where the engine swap measures slower on cache-hot staged
-  /// data (n <= 256 and n == 2048, see abft::fused_profitable) silently
+  /// sub-sizes where fusion measures slower on cache-hot staged data
+  /// (n <= 16, see abft::fused_profitable) silently
   /// keep the separate-pass reference, which also remains selectable by
   /// leaving this off. Default from FTFFT_FUSED_CHECKSUMS (off when
   /// unset).

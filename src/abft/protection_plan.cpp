@@ -79,17 +79,23 @@ bool fused_eligible(std::size_t n) { return n >= 8 && is_pow2(n); }
 bool fused_profitable(std::size_t n) noexcept {
   // Inside the schemes every sub-FFT input was just staged (gathered rows,
   // DMR-multiplied columns), so the separate checksum sweep the fusion
-  // would remove is a cache-resident re-read, not a DRAM pass — the fused
-  // win has to come from "copy + in-place engine" beating the out-of-place
-  // codelet executor by more than the copy costs on hot data. Measured
-  // (AVX2 dev box, min-of-9 x high-rep, hot buffers): loses at n <= 256
-  // (+2..+24%) and at n = 2048 (+9..+13%, the engine's L1-edge worst
-  // case); break-even at 4096; wins everywhere else (-12..-36%, the
-  // whole-array tail sizes from the streamed cs-stage on top). The
-  // whole-transform offline scheme is NOT gated: its input comes in cold
-  // and its interesting sizes live in the streaming tail regime where the
-  // in-kernel output dot saves a real DRAM sweep.
-  return n >= 512 && n != 2048;
+  // would remove is a cache-resident re-read, not a DRAM pass. Since
+  // fft::Fft runs every power-of-two n > 16 on the same in-place engine,
+  // the separate path is "weighted_sum_energy + forward_copy +
+  // omega3_weighted_sum" against one forward_fused. Measured per sub-FFT
+  // (4 cores, g++ 12.2, AVX2, hot buffers, min of 31 interleaved rounds,
+  // two runs): fused wins -9..-11% at 32, -5..-9% at 64/128, -9..0% at
+  // 256, -4..-5% at 512, -6..-7% at 1024, -5% at 2048 and -8..+2% at 4096.
+  // It loses only at 8 and 16 (+30..+44%), where the separate path runs an
+  // unrolled codelet instead of the engine. Whole transforms agree
+  // (bench_micro_fft, medians of 7, CV 2-12%): OnlineComp -> Fused at
+  // 64x64 / 128x128 / 256x256 is 148 -> 130 us, 746 -> 642 us and 2.69 ->
+  // 2.31 ms; OnlineMem -> Fused 199 -> 186 us, 720 -> 773 us (within its
+  // 11% CV) and 4.00 -> 3.91 ms. The whole-transform offline
+  // scheme is NOT gated: its input comes in cold and its interesting sizes
+  // live in the streaming tail regime where the in-kernel output dot saves
+  // a real DRAM sweep.
+  return n > 16;
 }
 
 ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,

@@ -201,10 +201,10 @@ class ProtectionPlan {
 
 /// Measured profitability gate for fused execution of one scheme-level
 /// sub-FFT. Scheme sub-inputs are staged cache-hot, so the sweep the
-/// fusion removes is cheap and the decision reduces to whether
-/// "copy + in-place engine" outruns the out-of-place executor on hot
-/// data: false for n <= 256 and n == 2048 (see protection_plan.cpp for
-/// the numbers). The online/in-place schemes fall back to the
+/// fusion removes is cheap and the decision reduces to whether the fused
+/// engine pass outruns the separate path's transform plus sweeps on hot
+/// data: false only for n <= 16, where the separate path runs an unrolled
+/// codelet (see protection_plan.cpp for the numbers). The online/in-place schemes fall back to the
 /// separate-pass path when this is false (unless
 /// Options::fused_ignore_profitability overrides for tests/benches); the
 /// decision is a pure function of the sub-size, so every retry and

@@ -2,20 +2,17 @@
 
 #include "abft/protection_plan.hpp"
 #include "common/error.hpp"
-#include "fft/inplace_radix2.hpp"
-#include "fft/plan.hpp"
+#include "fft/fft.hpp"
 
 namespace ftfft {
 
 namespace {
 
-// Materializes the unprotected-executor plans one transform of size n will
-// touch: the mixed-radix decomposition tree and, for power-of-two sizes,
-// the iterative in-place plan (Fft::execute_inplace dispatches to it).
+// Materializes the one plan an fft::Fft of size n resolves at construction:
+// the in-place engine for power-of-two n > 16, the planner tree otherwise.
 void warm_fft_plans(std::size_t n) {
   if (n < 2) return;
-  (void)fft::make_plan(n);
-  if ((n & (n - 1)) == 0) (void)fft::InplaceRadix2Plan::get(n);
+  (void)fft::Fft(n);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "fft/executor.hpp"
 
 #include "dft/codelets.hpp"
+#include "fft/inplace_radix2.hpp"
 #include "simd/dispatch.hpp"
 
 namespace ftfft::fft {
@@ -10,22 +11,15 @@ void exec_bluestein(const PlanNode& node, const cplx* in, std::size_t is,
                     cplx* out, std::size_t os, cplx* scratch) {
   const std::size_t n = node.n;
   const std::size_t m = node.conv_n;
-  cplx* a = scratch;          // chirp-premultiplied input, zero padded
-  cplx* fa = scratch + m;     // its transform / convolution workspace
+  // Chirp-premultiplied input, zero padded; the cyclic convolution with the
+  // chirp runs in place on the power-of-two engine.
+  cplx* a = scratch;
   for (std::size_t t = 0; t < n; ++t) a[t] = cmul(in[t * is], node.chirp[t]);
   for (std::size_t t = n; t < m; ++t) a[t] = cplx{0.0, 0.0};
-  // Forward transform of a (pow2 plan: no scratch).
-  execute_plan(*node.conv_plan, a, 1, fa, 1, nullptr);
-  // Pointwise multiply with the precomputed chirp transform.
-  for (std::size_t t = 0; t < m; ++t) fa[t] = cmul(fa[t], node.chirp_fft[t]);
-  // Inverse transform via conjugation: ifft(y) = conj(fft(conj(y))) / m.
-  for (std::size_t t = 0; t < m; ++t) fa[t] = std::conj(fa[t]);
-  execute_plan(*node.conv_plan, fa, 1, a, 1, nullptr);
-  const double inv_m = 1.0 / static_cast<double>(m);
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx conv = std::conj(a[j]) * inv_m;
-    out[j * os] = cmul(conv, node.chirp[j]);
-  }
+  node.conv_plan->forward(a);
+  for (std::size_t t = 0; t < m; ++t) a[t] = cmul(a[t], node.chirp_fft[t]);
+  node.conv_plan->inverse(a);  // 1/m normalized
+  for (std::size_t j = 0; j < n; ++j) out[j * os] = cmul(a[j], node.chirp[j]);
 }
 
 }  // namespace
@@ -45,26 +39,6 @@ void execute_plan(const PlanNode& node, const cplx* in, std::size_t is,
 
   const std::size_t r = node.radix;
   const std::size_t m = node.n / r;
-
-  // Two consecutive radix-2 levels fuse into one radix-4 pass, mirroring the
-  // in-place kernel's fused schedule: run the four n/4-point grandchild
-  // sub-transforms directly, then combine both levels while the quarter
-  // elements are in registers. The quarter blocks are laid out in
-  // bit-reversed subsequence order (j mod 4 = 0,2,1,3) — exactly what the
-  // fused butterfly expects — and the two levels' twiddles are the plans'
-  // own tables: w1 = omega_{n/2}^k (inner node), w2 = omega_n^k (this node).
-  if (r == 2 && node.sub->kind == PlanNode::Kind::kCooleyTukey &&
-      node.sub->radix == 2) {
-    const PlanNode& grand = *node.sub->sub;
-    const std::size_t q = node.n / 4;
-    execute_plan(grand, in, 4 * is, out, os, scratch);
-    execute_plan(grand, in + 2 * is, 4 * is, out + q * os, os, scratch);
-    execute_plan(grand, in + is, 4 * is, out + 2 * q * os, os, scratch);
-    execute_plan(grand, in + 3 * is, 4 * is, out + 3 * q * os, os, scratch);
-    simd::fft_kernels().combine_radix4_fused(
-        out, os, q, node.sub->twiddles.data(), node.twiddles.data());
-    return;
-  }
 
   // Sub-transform t1 reads x[t2*r + t1] (stride r*is) and writes its result
   // contiguously (in units of os) to out[m*t1 ...].

@@ -58,11 +58,12 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
       bit_reverse_.push_back(rev);
     }
   }
-  twiddle_half_.resize(n / 2 == 0 ? 1 : n / 2);
-  for (std::size_t k = 0; k < n / 2; ++k) twiddle_half_[k] = omega(n, k);
   // Pack the fused radix-4 schedule's per-stage twiddles contiguously in j
-  // (see FusedStage). Values are copies out of twiddle_half_, so the scalar
-  // backend computes bit-identical results to the historic strided reads.
+  // (see FusedStage). Values are copies out of one omega_n^k table (k < n/2),
+  // so the scalar backend computes bit-identical results to the historic
+  // strided reads; the table itself is not kept.
+  std::vector<cplx> twiddle_half(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) twiddle_half[k] = omega(n, k);
   unsigned s = (log2n_ & 1u) ? 2 : 1;
   std::size_t total = 0;
   for (unsigned t = s; t + 1 <= log2n_; t += 2) {
@@ -77,11 +78,11 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
     st.len = std::size_t{1} << (s + 1);
     st.w1_off = stage_twiddles_.size();
     for (std::size_t j = 0; j < quarter; ++j) {
-      stage_twiddles_.push_back(twiddle_half_[j * step1]);
+      stage_twiddles_.push_back(twiddle_half[j * step1]);
     }
     st.w2_off = stage_twiddles_.size();
     for (std::size_t j = 0; j < quarter; ++j) {
-      stage_twiddles_.push_back(twiddle_half_[j * step2]);
+      stage_twiddles_.push_back(twiddle_half[j * step2]);
     }
     stages_.push_back(st);
   }
@@ -156,28 +157,6 @@ void InplaceRadix2Plan::permute_cobra_fused_opener(cplx* data) const {
               (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
                             : CobraBitReversal::Opener::kRadix4First,
               /*inverse=*/false);
-}
-
-void InplaceRadix2Plan::run_radix2(cplx* data, bool inverse) const {
-  permute_pairswap(data);
-  // Stage s merges blocks of half = 2^(s-1). The twiddle for butterfly j of
-  // stage s is omega_{2^s}^j = omega_n^(j * n / 2^s).
-  for (unsigned s = 1; s <= log2n_; ++s) {
-    const std::size_t len = std::size_t{1} << s;
-    const std::size_t half = len >> 1;
-    const std::size_t step = n_ >> s;  // twiddle index stride
-    for (std::size_t base = 0; base < n_; base += len) {
-      std::size_t tw = 0;
-      for (std::size_t j = 0; j < half; ++j, tw += step) {
-        const cplx w = inverse ? std::conj(twiddle_half_[tw])
-                               : twiddle_half_[tw];
-        const cplx u = data[base + j];
-        const cplx t = cmul(data[base + j + half], w);
-        data[base + j] = u + t;
-        data[base + j + half] = u - t;
-      }
-    }
-  }
 }
 
 void InplaceRadix2Plan::run_radix4_reference(cplx* data, bool inverse) const {
@@ -268,24 +247,59 @@ void InplaceRadix2Plan::tail_pass(cplx* data, bool inverse,
   }
 }
 
+void InplaceRadix2Plan::paired_pass(cplx* data, bool inverse,
+                                    double scale) const {
+  // Below the COBRA threshold with an empty tail the whole transform is one
+  // cache-resident window behind the pair-swap permutation. Pairing its
+  // radix-4 stages through the radix-16 kernel halves the passes: 6-19%
+  // faster at the L1-boundary sizes (128..2048), and bit-identical to
+  // back-to-back radix-4 passes on the same twiddle packs. (Above the
+  // threshold plain radix-4 sweeps stay faster; see blocked_pass.) `scale`
+  // lands on the final pass, which is a radix-4/16 pass whenever n >= 8.
+  const auto& kernels = simd::fft_kernels();
+  const cplx* tw = stage_twiddles_.data();
+  std::size_t i = 0;
+  if (log2n_ & 1u) {
+    kernels.radix2_stage0(data, n_);
+  } else if (!stages_.empty()) {
+    kernels.radix4_first_stage(data, n_, inverse);
+    i = 1;
+  }
+  for (; i + 1 < stages_.size(); i += 2) {
+    const FusedStage& a = stages_[i];
+    const FusedStage& b = stages_[i + 1];
+    const double s = i + 2 == stages_.size() ? scale : 1.0;
+    kernels.radix16_stage(data, n_, b.len, tw + a.w1_off, tw + a.w2_off,
+                          tw + b.w1_off, tw + b.w2_off, inverse, s);
+  }
+  if (i < stages_.size()) {
+    const FusedStage& st = stages_[i];
+    kernels.radix4_stage(data, n_, st.len, tw + st.w1_off, tw + st.w2_off,
+                         inverse, scale);
+  }
+}
+
 void InplaceRadix2Plan::run_optimized(cplx* data, bool inverse) const {
   const double scale = inverse ? 1.0 / static_cast<double>(n_) : 1.0;
   // n >= 8 guarantees the final stage is a radix-4/radix-16 pass that can
   // absorb the 1/n factor; below that the separate sweep is free anyway.
   const bool fuse_scale = inverse && n_ >= 8;
-  bool opener_fused = false;
   if (cobra_) {
     cobra_->run(data,
                 (log2n_ & 1u) ? CobraBitReversal::Opener::kRadix2Pairs
                               : CobraBitReversal::Opener::kRadix4First,
                 inverse);
-    opener_fused = true;
+    blocked_pass(data, inverse, /*skip_opener=*/true,
+                 fuse_scale && tail_.empty() ? scale : 1.0, block_log2_,
+                 blocked_stage_count_);
+  } else if (tail_.empty()) {
+    permute_pairswap(data);
+    paired_pass(data, inverse, fuse_scale ? scale : 1.0);
   } else {
     permute_pairswap(data);
+    blocked_pass(data, inverse, /*skip_opener=*/false, 1.0, block_log2_,
+                 blocked_stage_count_);
   }
-  blocked_pass(data, inverse, opener_fused,
-               fuse_scale && tail_.empty() ? scale : 1.0, block_log2_,
-               blocked_stage_count_);
   tail_pass(data, inverse, fuse_scale ? scale : 1.0);
   if (inverse && !fuse_scale && scale != 1.0) {
     for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
@@ -320,6 +334,10 @@ void InplaceRadix2Plan::forward_copy(const cplx* src, cplx* dst) const {
     // copy stays separate — it is cheap at these sizes.
     std::memcpy(static_cast<void*>(dst), src, n_ * sizeof(cplx));
     permute_pairswap(dst);
+    if (tail_.empty()) {
+      paired_pass(dst, /*inverse=*/false, /*scale=*/1.0);
+      return;
+    }
   }
   blocked_pass(dst, /*inverse=*/false, opener_fused, /*scale=*/1.0,
                block_log2_, blocked_stage_count_);
@@ -477,43 +495,20 @@ void InplaceRadix2Plan::forward_fused(const cplx* src, cplx* dst,
                                        tw + last.w2b_off, w_out);
   } else {
     // The whole transform fits one cache window (tail empty implies
-    // n <= window), so data stays cache-resident across passes. Two
-    // measured consequences shape this branch:
-    //  * Below the COBRA threshold, pairing the radix-4 stages through the
-    //    radix-16 kernel halves the passes and runs 6-19% faster at the
-    //    L1-boundary sizes (128..2048) this branch serves — bit-identical
-    //    to back-to-back radix-4 passes on the same twiddle packs. Above
-    //    the threshold the plain radix-4 sweeps stay faster (the same
-    //    result as the blocked_pass in-window fusion experiment).
-    //  * The in-register cs-stage beats a separate output sweep only when
-    //    the final stage streams from DRAM (the tail branch above). Here
-    //    the outputs are still cache-hot, and the weight-free 3-bucket
-    //    omega3 sweep costs less than the cs-stage's per-element weight
-    //    loads + complex multiplies — so the last stage runs plain and the
-    //    output dot is the same dispatched sweep the separate path uses
-    //    (making out_sum bit-identical to it on every backend).
+    // n <= window), so data stays cache-resident across passes and the
+    // stages run forward()'s single-window schedule. The in-register
+    // cs-stage beats a separate output sweep only when the final stage
+    // streams from DRAM (the tail branch above). Here the outputs are still
+    // cache-hot, and the weight-free 3-bucket omega3 sweep costs less than
+    // the cs-stage's per-element weight loads + complex multiplies — so the
+    // last stage runs plain and the output dot is the same dispatched sweep
+    // the separate path uses (making out_sum bit-identical to it on every
+    // backend).
     if (opener_fused) {
-      // COBRA absorbed the opener (odd log2n: the radix-2 pair pass; even:
-      // stages_[0]).
-    } else if (log2n_ & 1u) {
-      kernels.radix2_stage0(dst, n_);
+      blocked_pass(dst, /*inverse=*/false, /*skip_opener=*/true,
+                   /*scale=*/1.0, block_log2_, blocked_stage_count_);
     } else {
-      kernels.radix4_first_stage(dst, n_, /*inverse=*/false);
-    }
-    std::size_t i = (log2n_ & 1u) ? 0 : 1;
-    if (cobra_ == nullptr) {
-      for (; i + 1 < stages_.size(); i += 2) {
-        const FusedStage& a = stages_[i];
-        const FusedStage& b = stages_[i + 1];
-        kernels.radix16_stage(dst, n_, b.len, tw + a.w1_off, tw + a.w2_off,
-                              tw + b.w1_off, tw + b.w2_off, /*inverse=*/false,
-                              1.0);
-      }
-    }
-    for (; i < stages_.size(); ++i) {
-      const FusedStage& st = stages_[i];
-      kernels.radix4_stage(dst, n_, st.len, tw + st.w1_off, tw + st.w2_off,
-                           /*inverse=*/false, 1.0);
+      paired_pass(dst, /*inverse=*/false, /*scale=*/1.0);
     }
     if (hook != nullptr) hook(hook_ctx, dst, n_);
     dots.out_sum = simd::checksum_kernels().omega3_weighted_sum(dst, n_);
@@ -522,10 +517,6 @@ void InplaceRadix2Plan::forward_fused(const cplx* src, cplx* dst,
 
 void InplaceRadix2Plan::inverse(cplx* data) const {
   run_optimized(data, true);
-}
-
-void InplaceRadix2Plan::forward_radix2(cplx* data) const {
-  run_radix2(data, false);
 }
 
 void InplaceRadix2Plan::forward_radix4_reference(cplx* data) const {

@@ -1,23 +1,28 @@
-// Iterative in-place FFT for power-of-two sizes.
+// Iterative in-place FFT for power-of-two sizes: the library's one
+// power-of-two engine.
 //
 // This is the "in-place, no auxiliary O(N) array" engine the parallel scheme
 // of the paper relies on (section 5): bit-reversal permutation followed by
-// butterfly stages over the data itself. The ABFT in-place protection
-// (src/abft/inplace.hpp) wraps this engine, which is exactly why it exists
-// separately from the recursive out-of-place executor.
+// butterfly stages over the data itself. Every power-of-two fft::Fft above
+// the unrolled-codelet sizes runs on it (in place, out of place through
+// forward_copy, strided through a gather), as do the ABFT schemes' fused
+// sub-FFTs, the real-input transforms and Bluestein's convolution; the
+// mixed-radix planner (fft/plan.hpp) is left with the other sizes.
 //
-// Execution paths, slowest to fastest:
-//   * forward_radix2(): one radix-2 pass per level, pair-swap permutation.
-//     Kept for measurement and cross-checking.
+// Execution paths:
 //   * forward_radix4_reference() / inverse_radix4_reference(): the PR 4
 //     schedule — pair-swap permutation, fused radix-4 stages (cache-blocked
 //     for len <= the window), whole-array radix-4 passes for the tail, and a
 //     separate 1/n sweep on the inverse. Retained as the bit-exact reference
 //     for the optimized path.
-//   * forward() / inverse(): the memory-optimized path. Above a size
-//     threshold the pair-swap permutation is replaced by a COBRA
-//     cache-blocked bit-reversal (fft/bit_reversal.hpp) with the twiddle-free
-//     opener stage fused into the tile write-back; the whole-array tail
+//   * forward() / inverse() / forward_copy(): the memory-optimized path,
+//     the one production schedule (forward_fused and the open-last r2c
+//     variants follow it stage for stage). Below a size threshold the
+//     transform is one cache-resident window: pair-swap permutation, then
+//     consecutive radix-4 stages paired through the radix-16 kernel. Above
+//     it the pair-swap permutation is replaced by a COBRA cache-blocked
+//     bit-reversal (fft/bit_reversal.hpp) with the twiddle-free opener
+//     stage fused into the tile write-back; the whole-array tail
 //     (stage len > cache window) fuses pairs of consecutive radix-4 stages
 //     into radix-16 passes (four radix-2 levels per streaming pass — chosen
 //     over three-level radix-8 groups because those misalign with the
@@ -153,11 +158,6 @@ class InplaceRadix2Plan {
   /// Inverse DFT (1/n normalized) in place.
   void inverse(cplx* data) const;
 
-  /// Forward DFT via the classic one-stage-per-level radix-2 schedule.
-  /// Mathematically identical to forward() up to rounding; kept for the
-  /// radix-2 vs radix-4 benchmarks and correctness cross-checks.
-  void forward_radix2(cplx* data) const;
-
   /// The retained PR 4 schedule (pair-swap permute + radix-4 stages); the
   /// optimized forward()/inverse() must match these bit-for-bit.
   void forward_radix4_reference(cplx* data) const;
@@ -203,27 +203,26 @@ class InplaceRadix2Plan {
   /// the registry seal and evicts the entry at the next verified acquire.
   void collect_state(StateSpans& out) const {
     out.add_vec(bit_reverse_);
-    out.add_vec(twiddle_half_);
-    out.add_vec(stages_);
     out.add_vec(stage_twiddles_);
+    out.add_vec(stages_);
     out.add_vec(tail_);
     if (cobra_) cobra_->collect_state(out);
   }
 
  private:
-  void run_radix2(cplx* data, bool inverse) const;
   void run_radix4_reference(cplx* data, bool inverse) const;
   void run_optimized(cplx* data, bool inverse) const;
   OpenLastStage open_last_stages(cplx* data, bool opener_fused) const;
   void blocked_pass(cplx* data, bool inverse, bool skip_opener, double scale,
                     unsigned block_log2, std::size_t stage_count) const;
   void tail_pass(cplx* data, bool inverse, double scale) const;
+  void paired_pass(cplx* data, bool inverse, double scale) const;
 
   /// One fused (radix-4) stage of the reference schedule. The twiddles for
   /// butterfly j of the stage — w1 = omega_{len/2}^j and w2 = omega_{len}^j
   /// — are repacked contiguously in j (offsets into stage_twiddles_) so the
   /// SIMD kernels load them with unit stride instead of gathering from
-  /// twiddle_half_ at a per-stage stride.
+  /// one omega_n table at a per-stage stride.
   struct FusedStage {
     std::size_t len;     ///< block length 2^(s+1)
     std::size_t w1_off;  ///< quarter = len/4 entries
@@ -246,7 +245,6 @@ class InplaceRadix2Plan {
   unsigned log2n_;
   unsigned block_log2_;
   std::vector<std::size_t> bit_reverse_;  // only entries with i < rev(i)
-  std::vector<cplx> twiddle_half_;        // omega_n^k, k in [0, n/2)
   std::vector<FusedStage> stages_;        // fused radix-4 schedule
   std::vector<cplx> stage_twiddles_;      // packed per-stage w1/w2 runs
   std::size_t blocked_stage_count_;       // stages_ with len <= cache window

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/env.hpp"
 #include "common/math_util.hpp"
 #include "common/plan_registry.hpp"
 #include "dft/codelets.hpp"
-#include "fft/executor.hpp"
+#include "fft/inplace_radix2.hpp"
 
 namespace ftfft::fft {
 namespace {
@@ -68,14 +69,11 @@ std::shared_ptr<const PlanNode> build_bluestein(std::size_t n) {
     b[t] = std::conj(node->chirp[t]);
     b[node->conv_n - t] = std::conj(node->chirp[t]);
   }
-  node->conv_plan = build_plan(node->conv_n);
-  // conv_n is a power of two, so conv_plan needs no scratch of its own and
-  // the Bluestein scratch layout in the executor (2 * conv_n) is exact.
-  node->chirp_fft.resize(node->conv_n);
-  std::vector<cplx> chirp_fft_scratch;  // pow2 plan: no scratch needed
-  execute_plan(*node->conv_plan, b.data(), 1, node->chirp_fft.data(), 1,
-               nullptr);
-  node->scratch_need = 2 * node->conv_n;
+  node->conv_plan = std::make_shared<const InplaceRadix2Plan>(node->conv_n);
+  node->conv_plan->forward(b.data());
+  node->chirp_fft = std::move(b);
+  // The executor convolves in place: conv_n elements of scratch.
+  node->scratch_need = node->conv_n;
   return node;
 }
 
@@ -100,7 +98,7 @@ void collect_plan_state(const PlanNode& node, StateSpans& out) {
   out.add_vec(node.chirp);
   out.add_vec(node.chirp_fft);
   if (node.sub) collect_plan_state(*node.sub, out);
-  if (node.conv_plan) collect_plan_state(*node.conv_plan, out);
+  if (node.conv_plan) node.conv_plan->collect_state(out);
 }
 
 namespace {
@@ -156,7 +154,7 @@ std::string describe_plan(const PlanNode& node) {
         break;
       case PlanNode::Kind::kBluestein:
         out << "bluestein(n=" << cur->n << ",conv=" << cur->conv_n << ")";
-        cur = cur->conv_plan.get();
+        cur = nullptr;
         break;
     }
   }

@@ -1,19 +1,20 @@
-// FFT plan tree: the library's equivalent of an FFTW plan.
+// FFT plan tree: the mixed-radix planner behind fft::Fft for the sizes the
+// power-of-two engine does not serve.
 //
-// A plan is an immutable decomposition of an n-point DFT:
+// fft::Fft has one engine per size class (src/fft/fft.hpp): power-of-two
+// n > 16 runs on InplaceRadix2Plan and never builds a tree here; sizes
+// with an unrolled codelet (n <= 16) and every non-power-of-two size run
+// on this planner. A plan is an immutable decomposition of an n-point DFT:
 //   * kCodelet      - hand-unrolled or generic O(n^2) kernel leaf,
 //   * kCooleyTukey  - n = r*m: r sub-DFTs of size m (stride r), twiddle,
 //                     m combine-DFTs of size r,
 //   * kBluestein    - chirp-z reformulation for sizes with a large prime
-//                     factor; internally a power-of-two convolution.
+//                     factor; internally a power-of-two cyclic convolution
+//                     run on the in-place engine.
 //
 // Plans are shape-only (twiddle tables included, no workspace), so they are
 // immutable after construction and safely shared across threads; per-call
-// scratch lives in the Fft executor object (src/fft/fft.hpp).
-//
-// The online ABFT scheme (src/abft) performs the *top-level* m*k split
-// itself — mirroring how the paper instruments FFTW's first decomposition
-// level — and uses these plans for the sub-transforms.
+// scratch lives in the Fft object.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +26,8 @@
 #include "common/seal.hpp"
 
 namespace ftfft::fft {
+
+class InplaceRadix2Plan;
 
 /// One node of the decomposition tree. See file comment.
 struct PlanNode {
@@ -44,7 +47,10 @@ struct PlanNode {
   std::size_t conv_n = 0;                   ///< power-of-two convolution size
   std::vector<cplx> chirp;                  ///< c[t] = exp(-pi i t^2 / n)
   std::vector<cplx> chirp_fft;              ///< FFT_conv_n of padded conj chirp
-  std::shared_ptr<const PlanNode> conv_plan;  ///< pow2 plan of size conv_n
+  /// Engine for the conv_n-point convolution. Owned by this node rather
+  /// than fetched from the in-place registry, so the node's seal covers
+  /// its tables too.
+  std::shared_ptr<const InplaceRadix2Plan> conv_plan;
 
   /// Scratch (complex elements) needed to execute this subtree. Nonzero only
   /// when a Bluestein node exists below; see executor.hpp for the layout
@@ -53,7 +59,7 @@ struct PlanNode {
 };
 
 /// Appends every twiddle/chirp table in the subtree rooted at `node` to
-/// `out` (recursing through sub and conv_plan). This is the span set sealed
+/// `out` (recursing through sub, plus conv_plan's engine state). This is the span set sealed
 /// by the fft-plan registry: flipping any cached table bit changes the seal.
 void collect_plan_state(const PlanNode& node, StateSpans& out);
 

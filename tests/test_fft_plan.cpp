@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/math_util.hpp"
+#include "common/plan_registry.hpp"
+#include "common/rng.hpp"
+#include "fft/fft.hpp"
 
 namespace ftfft {
 namespace {
@@ -59,7 +65,7 @@ TEST(FftPlan, LargePrimeUsesBluestein) {
   EXPECT_TRUE(is_pow2(plan->conv_n));
   EXPECT_EQ(plan->chirp.size(), 97u);
   EXPECT_EQ(plan->chirp_fft.size(), plan->conv_n);
-  EXPECT_EQ(plan->scratch_need, 2 * plan->conv_n);
+  EXPECT_EQ(plan->scratch_need, plan->conv_n);  // in-place convolution
 }
 
 TEST(FftPlan, SmallPrimeStaysGenericCodelet) {
@@ -91,6 +97,57 @@ TEST(FftPlan, DescribeMentionsStructure) {
   EXPECT_NE(desc.find("codelet("), std::string::npos) << desc;
   const std::string bdesc = fft::describe_plan(*make_plan(101));
   EXPECT_NE(bdesc.find("bluestein"), std::string::npos) << bdesc;
+}
+
+// ------------------------------------------------------ registry traffic
+
+PlanCacheStats cache_stats(const char* name) {
+  for (const PlanCacheStats& s : plan_cache_stats()) {
+    if (std::strcmp(s.name, name) == 0) return s;
+  }
+  ADD_FAILURE() << "no plan cache named " << name;
+  return {};
+}
+
+TEST(FftPlan, PowerOfTwoFftBuildsNoPlannerTree) {
+  // fft::Fft runs power-of-two n > 16 on the in-place engine only; the
+  // planner's Cooley-Tukey tree must not even be looked up.
+  for (std::size_t n : {std::size_t{1} << 5, std::size_t{1} << 13,
+                        std::size_t{1} << 18}) {
+    const PlanCacheStats before = cache_stats("fft-plan");
+    fft::Fft fwd(n);
+    fft::Fft inv(n, fft::Direction::kInverse);
+    const PlanCacheStats after = cache_stats("fft-plan");
+    EXPECT_EQ(after.size, before.size) << n;
+    EXPECT_EQ(after.hits, before.hits) << n;
+    EXPECT_EQ(after.misses, before.misses) << n;
+  }
+}
+
+TEST(FftPlan, ExecuteTouchesNoRegistry) {
+  // Engines and plans are resolved once, in the Fft constructor: repeated
+  // execute calls on either size class must not move any cache counter.
+  for (std::size_t n : {std::size_t{1} << 10, std::size_t{12},
+                        std::size_t{97}}) {
+    fft::Fft engine(n);
+    fft::Fft inverse(n, fft::Direction::kInverse);
+    auto x = random_vector(n, InputDistribution::kUniform, 31);
+    std::vector<cplx> out(2 * n);
+    const std::vector<PlanCacheStats> before = plan_cache_stats();
+    for (int call = 0; call < 1000; ++call) {
+      engine.execute(x.data(), out.data());
+      inverse.execute(x.data(), out.data());
+      engine.execute_strided(x.data(), 1, out.data(), 2);
+      inverse.execute_inplace(out.data());
+    }
+    const std::vector<PlanCacheStats> after = plan_cache_stats();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t c = 0; c < before.size(); ++c) {
+      EXPECT_EQ(after[c].hits, before[c].hits) << before[c].name << " n=" << n;
+      EXPECT_EQ(after[c].misses, before[c].misses)
+          << before[c].name << " n=" << n;
+    }
+  }
 }
 
 TEST(FftPlan, RejectsZero) {

@@ -277,29 +277,31 @@ TEST(FusedChecksums, CampaignOutcomesIdenticalToSeparatePassOnEveryBackend) {
 
 TEST(FusedChecksums, ProfitabilityGateMatchesMeasuredSet) {
   // Scheme sub-FFTs keep the separate-pass reference exactly at the sizes
-  // where the in-place engine swap measured slower on hot staged inputs:
-  // everything below 512, and the L1-edge 2048. The campaigns above lift
-  // the gate (fused_ignore_profitability) to reach the fused kernels at
-  // m = k = 32; this pins the gate itself so a retuning is a conscious,
-  // test-visible change.
-  for (std::size_t n : {8u, 32u, 128u, 256u, 2048u}) {
+  // where fusion measured slower on hot staged inputs: 8 and 16, whose
+  // separate path runs an unrolled codelet instead of the in-place engine.
+  // This pins the gate itself so a retuning is a conscious, test-visible
+  // change.
+  for (std::size_t n : {8u, 16u}) {
     EXPECT_FALSE(abft::fused_profitable(n)) << n;
   }
-  for (std::size_t n : {512u, 1024u, 4096u, 8192u, 65536u, 1u << 20}) {
+  for (std::size_t n : {32u, 128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u,
+                        65536u, 1u << 20}) {
     EXPECT_TRUE(abft::fused_profitable(n)) << n;
   }
 }
 
 TEST(FusedChecksums, DefaultGateMixedSizeCampaignMatchesSeparate) {
   BackendGuard guard;
-  // With the gate live (no override), n = 2^17 splits into m = 512 (fused)
-  // and k = 256 (gated to the reference): the two paths coexist in one
+  // With the gate live (no override), n = 2^9 splits into m = 32 (fused)
+  // and k = 16 (gated to the reference): the two paths coexist in one
   // transform, and detection/correction outcomes must still match the
   // all-separate run fault for fault.
-  constexpr std::size_t kN = std::size_t{1} << 17;
+  constexpr std::size_t kN = std::size_t{1} << 9;
+  ASSERT_TRUE(abft::fused_profitable(32));
+  ASSERT_FALSE(abft::fused_profitable(16));
   for (Backend b : available_backends()) {
     ASSERT_TRUE(simd::set_backend(b));
-    for (int s = 0; s < 4; ++s) {
+    for (int s = 0; s < 8; ++s) {
       const CampaignOutcome sep = run_campaign(s, 0, false, kN);
       const CampaignOutcome fus = run_campaign(s, 0, true, kN, false);
       EXPECT_TRUE(sep.threw || sep.correct) << "seed=" << s;
