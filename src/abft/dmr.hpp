@@ -4,6 +4,14 @@
 // error there corrupts the *input* of the second layer before its checksum
 // exists), so the paper protects it with DMR: compute twice, compare, and on
 // mismatch compute a third time and take the majority (section 3.1).
+//
+// Each redundant execution generates its twiddles by recurrence rather than
+// per-element sin/cos. Every block of 64 elements restarts from the exact
+// omega_N value, then four interleaved recurrences (elements i mod 4, each
+// stepped by omega_N^(4*step)) carry it through the block, so neighbouring
+// multiplies are independent and pipeline. Both executions call the same
+// routine, so a fault-free run compares bit-equal; the table-exact third
+// evaluation only runs on a mismatch.
 #pragma once
 
 #include <cstddef>
@@ -26,5 +34,13 @@ std::size_t dmr_twiddle_multiply(const cplx* src, std::size_t stride,
                                  std::size_t factor_step, std::size_t unit,
                                  fault::Injector* injector,
                                  cplx scale = cplx{1.0, 0.0});
+
+/// One unvoted execution of the routine both copies above run:
+/// dst[i] = src[i * stride] * scale * omega_N^(i * factor_step). For
+/// callers that duplicate a larger fused operation themselves (the in-place
+/// middle layer). dst may equal src when stride == 1.
+void twiddle_multiply(const cplx* src, std::size_t stride, cplx* dst,
+                      std::size_t len, std::size_t n, std::size_t factor_step,
+                      cplx scale = cplx{1.0, 0.0});
 
 }  // namespace ftfft::abft

@@ -1,5 +1,6 @@
 #include "abft/inplace.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -41,6 +42,15 @@ struct InjectorHook {
     h->inj->apply(h->phase, h->unit, data, n);
   }
 };
+
+// Layer-1 tile staging, reused by every call on this thread: grown on
+// demand, never shrunk. Allocating it per call measured slower on
+// serve-size lanes.
+cplx* tile_staging(std::size_t elems) {
+  thread_local std::vector<cplx> st;
+  if (st.size() < elems) st.resize(elems);
+  return st.data();
+}
 
 class InplaceRun {
  public:
@@ -111,109 +121,130 @@ class InplaceRun {
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }
 
-  // Layer 1: blk_ sub-FFTs of size k_ at stride blk_. The gathered buffer
-  // is the Fig. 4 input backup: it stays untouched until the output has
-  // verified, so a retry never needs the (about to be overwritten) array.
+  // Layer 1: blk_ sub-FFTs of size k_ at stride blk_, run one tile of
+  // plan_.layer1_batch() columns at a time. A tile is gathered row-wise
+  // (each row contributes a contiguous run of columns) into column-major
+  // staging, every column runs contiguous, and the verified results go back
+  // row-wise. A staged input column is the Fig. 4 input backup: it stays
+  // untouched until its output has verified, so a retry never needs the
+  // (about to be overwritten) array.
   void layer1() {
     fft::Fft fftk(k_);
-    // Fused checksums (PR 6): the gathered buffer is contiguous, so the
+    // Fused checksums: the staged column is contiguous, so the
     // in-place engine can run it and accumulate both checksum dots in the
-    // butterfly passes instead of the standalone sweeps below — at the
-    // sub-sizes where fusion profits on the gather-hot buffer
+    // butterfly passes instead of the standalone sweeps in layer1_column —
+    // at the sub-sizes where fusion profits on the gather-hot buffer
     // (fused_profitable; tests override with fused_ignore_profitability).
-    const bool combined_ccg = opts_.memory_ft && opts_.combined_checksums;
     const fft::InplaceRadix2Plan* fused =
         opts_.fused_checksums &&
                 (opts_.fused_ignore_profitability || fused_profitable(k_))
             ? plan_.fused_plan_k()
             : nullptr;
-    std::vector<cplx> buf(k_), res(k_);
+    const std::size_t w = plan_.layer1_batch();
+    cplx* const in = tile_staging(2 * w * k_);  // staged input columns
+    cplx* const out = in + w * k_;              // their verified outputs
     if (opts_.memory_ft) {
       b1_.assign(k_, DualSum{});
       e_blk_.assign(k_, 0.0);
     }
-    for (std::size_t i = 0; i < blk_; ++i) {
-      double energy = 0.0;
+    for (std::size_t i0 = 0; i0 < blk_; i0 += w) {
+      const std::size_t wc = std::min(w, blk_ - i0);
       for (std::size_t s = 0; s < k_; ++s) {
-        buf[s] = x_[s * blk_ + i];
-        energy += norm2(buf[s]);
+        const cplx* row = x_ + s * blk_ + i0;
+        for (std::size_t c = 0; c < wc; ++c) in[c * k_ + s] = row[c];
       }
-      if (opts_.memory_ft && e_in_[i] > 0.0) energy = e_in_[i];
-
-      cplx ccg{0.0, 0.0};
-      bool have_ccg = false;
-      if (combined_ccg) {
-        ccg = s1_[i];
-        have_ccg = true;
-        if (!opts_.postpone_mcv) repair_input_slot(i, buf.data());
-      } else {
-        if (opts_.memory_ft && !opts_.postpone_mcv) {
-          repair_input_slot(i, buf.data());
+      for (std::size_t c = 0; c < wc; ++c) {
+        layer1_column(i0 + c, in + c * k_, out + c * k_, fftk, fused);
+      }
+      // Scatter back; fold the outputs into the per-block checksums that
+      // protect the window until layer 2 consumes the block. Each row's
+      // sums run over i in the same order as an untiled sweep.
+      for (std::size_t s = 0; s < k_; ++s) {
+        cplx* row = x_ + s * blk_ + i0;
+        if (!opts_.memory_ft) {
+          for (std::size_t c = 0; c < wc; ++c) row[c] = out[c * k_ + s];
+          continue;
         }
-        if (fused == nullptr) {
-          ccg = checksum::weighted_sum(ck_, buf.data(), k_);
+        DualSum sums = b1_[s];
+        double e = e_blk_[s];
+        for (std::size_t c = 0; c < wc; ++c) {
+          const cplx v = out[c * k_ + s];
+          row[c] = v;
+          sums.plain += v;
+          sums.indexed += static_cast<double>(i0 + c) * v;
+          e += norm2(v);
+        }
+        b1_[s] = sums;
+        e_blk_[s] = e;
+      }
+    }
+  }
+
+  // One protected k-point layer-1 sub-FFT: staged input column `buf` (slot
+  // i) to verified output `res`.
+  void layer1_column(std::size_t i, cplx* buf, cplx* res, fft::Fft& fftk,
+                     const fft::InplaceRadix2Plan* fused) {
+    double energy = 0.0;
+    if (opts_.memory_ft && e_in_[i] > 0.0) {
+      energy = e_in_[i];
+    } else {
+      for (std::size_t s = 0; s < k_; ++s) energy += norm2(buf[s]);
+    }
+
+    cplx ccg{0.0, 0.0};
+    bool have_ccg = false;
+    if (opts_.memory_ft && opts_.combined_checksums) {
+      ccg = s1_[i];
+      have_ccg = true;
+      if (!opts_.postpone_mcv) repair_input_slot(i, buf);
+    } else {
+      if (opts_.memory_ft && !opts_.postpone_mcv) repair_input_slot(i, buf);
+      if (fused == nullptr) {
+        ccg = checksum::weighted_sum(ck_, buf, k_);
+        have_ccg = true;
+      }
+      // else: ccg rides on the first fused pass below.
+    }
+
+    const double eta = eta_comp(energy);
+    stats_.eta_m = std::max(stats_.eta_m, eta);
+    for (int attempt = 0;; ++attempt) {
+      cplx rx;
+      if (fused != nullptr) {
+        fft::InplaceRadix2Plan::FusedDots dots;
+        InjectorHook hook{inj(), Phase::kMFftOutput, i};
+        fused->forward_fused(buf, res, have_ccg ? nullptr : ck_,
+                             plan_.weights_omega3_k(), dots,
+                             inj() != nullptr ? &InjectorHook::call : nullptr,
+                             &hook);
+        if (!have_ccg) {
+          ccg = dots.in_sum;
           have_ccg = true;
         }
-        // else: ccg rides on the first fused pass below.
+        rx = dots.out_sum;
+      } else {
+        fftk.execute(buf, res);
+        if (inj() != nullptr) inj()->apply(Phase::kMFftOutput, i, res, k_);
+        rx = checksum::omega3_weighted_sum(res, k_);
       }
-
-      const double eta = eta_comp(energy);
-      stats_.eta_m = std::max(stats_.eta_m, eta);
-      for (int attempt = 0;; ++attempt) {
-        cplx rx;
-        if (fused != nullptr) {
-          fft::InplaceRadix2Plan::FusedDots dots;
-          InjectorHook hook{inj(), Phase::kMFftOutput, i};
-          fused->forward_fused(buf.data(), res.data(),
-                               have_ccg ? nullptr : ck_,
-                               plan_.weights_omega3_k(), dots,
-                               inj() != nullptr ? &InjectorHook::call
-                                                : nullptr,
-                               &hook);
-          if (!have_ccg) {
-            ccg = dots.in_sum;
-            have_ccg = true;
-          }
-          rx = dots.out_sum;
-        } else {
-          fftk.execute(buf.data(), res.data());
-          if (inj() != nullptr) {
-            inj()->apply(Phase::kMFftOutput, i, res.data(), k_);
-          }
-          rx = checksum::omega3_weighted_sum(res.data(), k_);
-        }
-        ++stats_.verifications;
-        if (std::abs(rx - ccg) <= eta) break;
-        if (attempt >= opts_.max_retries) {
-          throw UncorrectableError(
-              "inplace ABFT: layer-1 sub-FFT kept failing verification");
-        }
-        ++stats_.sub_fft_retries;
-        if (opts_.memory_ft) {
-          if (repair_input_slot(i, buf.data())) {
-            if (!opts_.combined_checksums) {
-              if (fused != nullptr) {
-                have_ccg = false;  // re-derived in flight from repaired buf
-              } else {
-                ccg = checksum::weighted_sum(ck_, buf.data(), k_);
-              }
-            }
-            continue;
+      ++stats_.verifications;
+      if (std::abs(rx - ccg) <= eta) return;
+      if (attempt >= opts_.max_retries) {
+        throw UncorrectableError(
+            "inplace ABFT: layer-1 sub-FFT kept failing verification");
+      }
+      ++stats_.sub_fft_retries;
+      if (opts_.memory_ft && repair_input_slot(i, buf)) {
+        if (!opts_.combined_checksums) {
+          if (fused != nullptr) {
+            have_ccg = false;  // re-derived in flight from repaired buf
+          } else {
+            ccg = checksum::weighted_sum(ck_, buf, k_);
           }
         }
-        ++stats_.comp_errors_detected;
+        continue;
       }
-
-      // Scatter back; fold the output into the per-block checksums that
-      // protect the window until layer 2 consumes the block.
-      for (std::size_t s = 0; s < k_; ++s) {
-        x_[s * blk_ + i] = res[s];
-        if (opts_.memory_ft) {
-          b1_[s].plain += res[s];
-          b1_[s].indexed += static_cast<double>(i) * res[s];
-          e_blk_[s] += norm2(res[s]);
-        }
-      }
+      ++stats_.comp_errors_detected;
     }
   }
 
@@ -272,7 +303,7 @@ class InplaceRun {
             : nullptr;
     std::vector<cplx> bb(blk_);   // staged block
     std::vector<cplx> seg(k_);    // layer-3 result staging
-    std::vector<cplx> ra(r_), rb(r_), rc(r_);
+    std::vector<cplx> mid(r_ > 1 ? 3 * blk_ + r_ : 0);  // middle layer
     f1_.assign(k_ * r_, DualSum{});
     fccv_.assign(k_ * r_, cplx{0, 0});
     e_seg_.assign(k_ * r_, 0.0);
@@ -305,7 +336,7 @@ class InplaceRun {
       stats_.dmr_mismatches +=
           dmr_twiddle_multiply(block, 1, bb.data(), blk_, n_, b, b, inj());
 
-      if (r_ > 1) middle_layer(b, bb.data());
+      if (r_ > 1) middle_layer(b, bb.data(), mid.data());
 
       // Layer 3: r contiguous k-point sub-FFTs within the staged block.
       for (std::size_t t = 0; t < r_; ++t) {
@@ -381,82 +412,67 @@ class InplaceRun {
   }
 
   // DMR-protected middle layer: k_ r-point sub-FFTs at stride k_ within the
-  // block, fused with the TM2 twiddle omega_blk^(i*t). Everything is
-  // computed twice and voted with a third evaluation on mismatch.
-  void middle_layer(std::size_t b, cplx* bb) {
-    std::vector<cplx> in(r_), out1(r_), out2(r_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      for (std::size_t s = 0; s < r_; ++s) in[s] = bb[s * k_ + i];
-      auto pass = [&](cplx* out) {
-        dft::codelet_dft(r_, in.data(), 1, out, 1);
-        for (std::size_t t = 0; t < r_; ++t) {
-          out[t] = cmul(out[t], omega(blk_, static_cast<std::uint64_t>(i) * t));
-        }
-      };
-      pass(out1.data());
-      if (inj() != nullptr) {
-        inj()->apply(Phase::kMiddleDmrCopy, b * k_ + i, out1.data(), r_);
+  // block, fused with the TM2 twiddle omega_blk^(i*t). Each redundant pass
+  // runs the whole block, computing its own twiddles row by row with the
+  // DMR recurrence, so no stored value is shared by the two copies. A
+  // mismatch is voted with a third pass. `scratch` holds 3*blk_ + r_
+  // elements.
+  void middle_layer(std::size_t b, cplx* bb, cplx* scratch) {
+    cplx* out1 = scratch;
+    cplx* out2 = scratch + blk_;
+    cplx* out3 = scratch + 2 * blk_;
+    auto pass = [&](cplx* out) {
+      for (std::size_t i = 0; i < k_; ++i) {
+        dft::codelet_dft(r_, bb + i, k_, out + i, k_);
       }
-      pass(out2.data());
-      for (std::size_t t = 0; t < r_; ++t) {
-        if (out1[t] != out2[t]) {
-          // Third evaluation + majority vote.
-          std::vector<cplx> out3(r_);
-          pass(out3.data());
-          out1[t] = (out2[t] == out3[t]) ? out2[t] : out1[t];
-          ++stats_.dmr_mismatches;
-        }
+      for (std::size_t t = 1; t < r_; ++t) {
+        twiddle_multiply(out + t * k_, 1, out + t * k_, k_, blk_, t);
       }
-      for (std::size_t t = 0; t < r_; ++t) bb[t * k_ + i] = out1[t];
+    };
+    pass(out1);
+    if (inj() != nullptr) {
+      // The hook sees each r-point sub-FFT's results as one unit.
+      cplx* col = scratch + 3 * blk_;
+      for (std::size_t i = 0; i < k_; ++i) {
+        for (std::size_t t = 0; t < r_; ++t) col[t] = out1[t * k_ + i];
+        inj()->apply(Phase::kMiddleDmrCopy, b * k_ + i, col, r_);
+        for (std::size_t t = 0; t < r_; ++t) out1[t * k_ + i] = col[t];
+      }
     }
+    pass(out2);
+    bool have_third = false;
+    for (std::size_t j = 0; j < blk_; ++j) {
+      if (out1[j] != out2[j]) {
+        // Third evaluation + majority vote.
+        if (!have_third) {
+          pass(out3);
+          have_third = true;
+        }
+        out1[j] = (out2[j] == out3[j]) ? out2[j] : out1[j];
+        ++stats_.dmr_mismatches;
+      }
+    }
+    std::memcpy(bb, out1, blk_ * sizeof(cplx));
   }
 
   // Final verification + digit-reversal permutation to natural order.
   void finalize() {
     if (inj() != nullptr) inj()->apply(Phase::kFinalOutput, 0, x_, n_);
     cplx presum{0, 0};
+    double energy = 0.0;
     if (opts_.memory_ft) {
       // Verify every layer-3 segment against its saved checksum; localize
-      // and correct through the output duals.
+      // and correct through the output duals. The segments tile x_ in
+      // order, so the permutation guard's pre-sum and energy are folded in
+      // per segment while it is still cache-hot.
       for (std::size_t b = 0; b < k_; ++b) {
         for (std::size_t t = 0; t < r_; ++t) {
-          const std::size_t unit = b * r_ + t;
           cplx* seg = x_ + b * blk_ + t * k_;
-          const cplx rx = checksum::omega3_weighted_sum(seg, k_);
-          ++stats_.verifications;
-          if (std::abs(rx - fccv_[unit]) <= eta_comp(e_seg_[unit])) continue;
-          ++stats_.mem_errors_detected;
-          bool corrected;
-          if (!fsyn_.empty()) {
-            // Multi-error budget (PR 9): the in-place output region has no
-            // backup, so direct syndrome decode is the only recovery. Using
-            // it for every count (not just as an escalation) also prevents a
-            // burst from being mis-"corrected" by a one-element write that
-            // balances the two duals but not the higher moments.
-            const auto mrep = checksum::repair_errors(
-                fsyn_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
-                plan_.max_errors(), /*max_iters=*/6,
-                plan_.syndrome_nodes_k());
-            corrected = mrep.corrected;
-            if (mrep.corrected && mrep.errors >= 2) {
-              stats_.multi_errors_corrected +=
-                  static_cast<std::size_t>(mrep.errors);
-            }
-          } else {
-            const auto rep = checksum::repair_single_error(
-                f1_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
-                opts_.max_retries);
-            corrected = rep.corrected;
-          }
-          if (!corrected) {
-            throw UncorrectableError(
-                "inplace ABFT: final output memory error not localizable");
-          }
-          ++stats_.mem_errors_corrected;
+          verify_segment(b * r_ + t, seg);
+          for (std::size_t j = 0; j < k_; ++j) presum += seg[j];
+          energy += checksum::energy(seg, k_);
         }
       }
-      // Permutation-invariant guard over the swap pass below.
-      for (std::size_t t = 0; t < n_; ++t) presum += x_[t];
     }
 
     krk_digit_reverse_permute(x_, k_, r_);
@@ -467,15 +483,48 @@ class InplaceRun {
       ++stats_.verifications;
       const double eta = opts_.eta_override > 0.0
                              ? opts_.eta_override
-                             : roundoff::eta_from_coeff(
-                                   plan_.eta_whole().mem,
-                                   sigma_of(checksum::energy(x_, n_), n_));
+                             : roundoff::eta_from_coeff(plan_.eta_whole().mem,
+                                                        sigma_of(energy, n_));
       if (std::abs(postsum - presum) > eta) {
         throw UncorrectableError(
             "inplace ABFT: memory fault during the final permutation "
             "(detect-only window)");
       }
     }
+  }
+
+  // Postponed output verification of one layer-3 segment; a mismatch is
+  // localized and corrected in place through the segment's output duals.
+  void verify_segment(std::size_t unit, cplx* seg) {
+    const cplx rx = checksum::omega3_weighted_sum(seg, k_);
+    ++stats_.verifications;
+    if (std::abs(rx - fccv_[unit]) <= eta_comp(e_seg_[unit])) return;
+    ++stats_.mem_errors_detected;
+    bool corrected;
+    if (!fsyn_.empty()) {
+      // Multi-error budget: the in-place output region has no backup, so
+      // direct syndrome decode is the only recovery. Using it for every
+      // count (not just as an escalation) also prevents a burst from being
+      // mis-"corrected" by a one-element write that balances the two duals
+      // but not the higher moments.
+      const auto mrep = checksum::repair_errors(
+          fsyn_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
+          plan_.max_errors(), /*max_iters=*/6, plan_.syndrome_nodes_k());
+      corrected = mrep.corrected;
+      if (mrep.corrected && mrep.errors >= 2) {
+        stats_.multi_errors_corrected += static_cast<std::size_t>(mrep.errors);
+      }
+    } else {
+      const auto rep = checksum::repair_single_error(
+          f1_[unit], seg, 1, nullptr, k_, eta_mem(e_seg_[unit]),
+          opts_.max_retries);
+      corrected = rep.corrected;
+    }
+    if (!corrected) {
+      throw UncorrectableError(
+          "inplace ABFT: final output memory error not localizable");
+    }
+    ++stats_.mem_errors_corrected;
   }
 
   fault::Injector* inj() const { return opts_.injector; }
@@ -515,13 +564,48 @@ InplaceShape inplace_shape(std::size_t n) {
 }
 
 void krk_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r) {
+  // For each middle digit d1 the permutation is the transpose of a k x k
+  // matrix (row d2, column d0) at row stride r*k. It runs tile pair by tile
+  // pair through two L1-resident buffers, so every array access walks a
+  // row instead of striding down a column.
+  constexpr std::size_t kT = 16;
+  cplx a[kT * kT], b[kT * kT];
   const std::size_t blk = r * k;
-  for (std::size_t d2 = 0; d2 < k; ++d2) {
-    for (std::size_t d1 = 0; d1 < r; ++d1) {
-      for (std::size_t d0 = 0; d0 < k; ++d0) {
-        const std::size_t p = d0 + d1 * k + d2 * blk;
-        const std::size_t q = d2 + d1 * k + d0 * blk;
-        if (p < q) std::swap(data[p], data[q]);
+  for (std::size_t d1 = 0; d1 < r; ++d1) {
+    cplx* m = data + d1 * k;
+    for (std::size_t i0 = 0; i0 < k; i0 += kT) {
+      const std::size_t hi = std::min(kT, k - i0);
+      cplx* diag = m + i0 * blk + i0;
+      for (std::size_t i = 0; i < hi; ++i) {
+        for (std::size_t j = 0; j < hi; ++j) a[i * kT + j] = diag[i * blk + j];
+      }
+      for (std::size_t i = 0; i < hi; ++i) {
+        for (std::size_t j = 0; j < hi; ++j) diag[i * blk + j] = a[j * kT + i];
+      }
+      for (std::size_t j0 = i0 + kT; j0 < k; j0 += kT) {
+        const std::size_t wj = std::min(kT, k - j0);
+        cplx* upper = m + i0 * blk + j0;  // rows i0.., columns j0..
+        cplx* lower = m + j0 * blk + i0;  // rows j0.., columns i0..
+        for (std::size_t i = 0; i < hi; ++i) {
+          for (std::size_t j = 0; j < wj; ++j) {
+            a[i * kT + j] = upper[i * blk + j];
+          }
+        }
+        for (std::size_t j = 0; j < wj; ++j) {
+          for (std::size_t i = 0; i < hi; ++i) {
+            b[j * kT + i] = lower[j * blk + i];
+          }
+        }
+        for (std::size_t i = 0; i < hi; ++i) {
+          for (std::size_t j = 0; j < wj; ++j) {
+            upper[i * blk + j] = b[j * kT + i];
+          }
+        }
+        for (std::size_t j = 0; j < wj; ++j) {
+          for (std::size_t i = 0; i < hi; ++i) {
+            lower[j * blk + i] = a[i * kT + j];
+          }
+        }
       }
     }
   }

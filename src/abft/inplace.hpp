@@ -4,8 +4,9 @@
 // restarting from the (overwritten) input. The paper's answer is a
 // three-layer plan n = k * r * k:
 //
-//   layer 1: r*k k-point sub-FFTs (stride r*k)   - ABFT per sub-FFT, with an
-//            O(k) gathered input buffer acting as the Fig. 4 backup;
+//   layer 1: r*k k-point sub-FFTs (stride r*k)   - ABFT per sub-FFT, run in
+//            tiles of up to 16 columns gathered row-wise into staging; each
+//            staged input column is its sub-FFT's Fig. 4 backup;
 //   layer 2: k^2  r-point sub-FFTs + twiddles    - DMR-protected (r is tiny:
 //            1 or 2 for powers of two; a restart here is impossible in
 //            place, which is exactly Fig. 5's failure scenario);
@@ -14,8 +15,8 @@
 //
 // The layer structure is palindromic (k, r, k) on purpose: the digit-reversal
 // permutation that restores natural output order is then an involution, so
-// it runs in place as plain swaps. When r == 1 the middle layer vanishes
-// (Fig. 6 "omitted when r = 1").
+// it runs in place as swaps (tile pairs of a k x k transpose). When r == 1
+// the middle layer vanishes (Fig. 6 "omitted when r = 1").
 #pragma once
 
 #include <cstddef>
@@ -37,15 +38,16 @@ struct InplaceShape {
 
 /// In-place digit-reversal permutation for the palindromic radix vector
 /// (k, r, k): position d0 + d1*k + d2*r*k swaps with d2 + d1*k + d0*r*k.
-/// Self-inverse, runs as plain swaps. Exposed for tests and the parallel
-/// local-adjustment step.
+/// Self-inverse; runs as a cache-blocked in-place transpose per middle
+/// digit. Exposed for tests.
 void krk_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r);
 
 /// Protected in-place forward DFT of data[0..n). Uses O(sqrt(n) * r)
-/// auxiliary buffers only. Honors opts.memory_ft, ra_method, postpone_mcv
-/// (naive mode verifies every block before use; optimized mode postpones
-/// into the computational checks), eta_override, max_retries and injector;
-/// contiguous staging is inherent to the algorithm.
+/// auxiliary buffers only (the layer-1 tile staging is reused per thread).
+/// Honors opts.memory_ft, ra_method, postpone_mcv (naive mode verifies
+/// every block before use; optimized mode postpones into the computational
+/// checks), eta_override, max_retries and injector; contiguous staging is
+/// inherent to the algorithm.
 /// Output is in natural order. Throws UncorrectableError when verification
 /// cannot be satisfied within the fault model.
 void inplace_online_transform(cplx* data, std::size_t n, const Options& opts,

@@ -27,6 +27,15 @@ double sigma_from_energy(double energy, std::size_t n) {
   return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
 }
 
+/// Internal backup for the postponed MCV, reused by every call on this
+/// thread: grown on demand, never shrunk. A per-call vector page-faulted
+/// its zero-filled pages on every large transform.
+cplx* backup_scratch(std::size_t n) {
+  thread_local std::vector<cplx> store;
+  if (store.size() < n) store.resize(n);
+  return store.data();
+}
+
 /// Adapts the fault injector to forward_fused's pre-final-stage hook: the
 /// injected corruption lands on the intermediate data and propagates
 /// linearly through the final stage into the outputs AND the fused output
@@ -377,8 +386,7 @@ class OnlineRun {
       if (opts_.backup_in_input) {
         backup_ = x_;
       } else {
-        backup_store_.resize(n_);
-        backup_ = backup_store_.data();
+        backup_ = backup_scratch(n_);
       }
       std::memcpy(backup_, out_, n_ * sizeof(cplx));
     }
@@ -643,7 +651,6 @@ class OnlineRun {
   std::vector<cplx> col_ccv_;        // saved per-column CCG for final MCV
   std::vector<DualSum> f1_;          // naive output duals per column
   cplx* backup_ = nullptr;           // parked intermediate (postponed MCV)
-  std::vector<cplx> backup_store_;   // internal backup when not in input
 };
 
 }  // namespace

@@ -69,6 +69,16 @@ EtaCoeffs eta_coeffs(std::size_t n) {
           roundoff::practical_eta_memory_coeff(n)};
 }
 
+// Layer-1 tile width of the in-place scheme: columns gathered per tile, so
+// each row contributes one contiguous run. 16 columns are four cache lines
+// per row; wider tiles measured no faster at 2^22 and slower on
+// cache-resident 2^14 lanes (4 cores, g++ 12.2, AVX2). Past k = 2048 the
+// width shrinks to keep one staging buffer within kStageElems.
+std::size_t inplace_tile_columns(std::size_t k, std::size_t blk) {
+  return std::clamp<std::size_t>(kStageElems / k, std::min<std::size_t>(4, blk),
+                                 std::min<std::size_t>(16, blk));
+}
+
 // Fused execution (forward_fused) needs the in-place schedule and wants a
 // final stage of len >= 8 to fuse the output dot into; smaller or
 // non-power-of-two sub-sizes keep the separate-pass path.
@@ -156,6 +166,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       eta_k_ = eta_coeffs(k_);
       eta_block_ = eta_coeffs(blk_);
       eta_whole_ = eta_coeffs(n);
+      layer1_batch_ = inplace_tile_columns(k_, blk_);
       if (fused_eligible(k_)) {
         fused_k_ = fft::InplaceRadix2Plan::get(k_);
         w3k_ = checksum::shared_comp_weights(k_);

@@ -161,9 +161,11 @@ class ProtectionPlan {
     if (fused_k_) fused_k_->collect_state(out);
   }
 
-  /// kOnline staging layout (section 4.4), resolved from the options once:
-  /// sub-FFTs gathered per first-layer staging block and columns staged per
-  /// second-layer pass. Both are 1 when contiguous_buffering is off.
+  /// Staging layout (section 4.4), resolved once. kOnline: sub-FFTs
+  /// gathered per first-layer staging block and columns staged per
+  /// second-layer pass, both 1 when contiguous_buffering is off.
+  /// kOnlineInplace: layer-1 columns gathered per tile (staging is inherent
+  /// to that scheme, so the width ignores contiguous_buffering).
   [[nodiscard]] std::size_t layer1_batch() const noexcept {
     return layer1_batch_;
   }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "abft/options.hpp"
+#include "abft/protection_plan.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dft/reference_dft.hpp"
@@ -67,6 +70,38 @@ TEST(DigitReversePermute, IsAnInvolution) {
       if (once[j] != x[j]) moved = true;
     }
     EXPECT_TRUE(moved);
+  }
+}
+
+// The untiled triple loop the blocked permutation replaced, kept as its
+// oracle.
+void untiled_digit_reverse_permute(cplx* data, std::size_t k, std::size_t r) {
+  const std::size_t blk = r * k;
+  for (std::size_t d2 = 0; d2 < k; ++d2) {
+    for (std::size_t d1 = 0; d1 < r; ++d1) {
+      for (std::size_t d0 = 0; d0 < k; ++d0) {
+        const std::size_t p = d0 + d1 * k + d2 * blk;
+        const std::size_t q = d2 + d1 * k + d0 * blk;
+        if (p < q) std::swap(data[p], data[q]);
+      }
+    }
+  }
+}
+
+TEST(DigitReversePermute, MatchesUntiledOracle) {
+  // More than one tile, ragged edge tiles (5, 40, 100) and r > 1. k = 2048
+  // (the 2^22 shape) runs at r = 1 only, to keep the test's memory small.
+  for (const std::size_t k : {5, 40, 100, 256, 2048}) {
+    for (const std::size_t r : {1, 2, 3}) {
+      if (k == 2048 && r > 1) continue;
+      const std::size_t n = k * k * r;
+      auto got = random_vector(n, InputDistribution::kUniform, 610 + n);
+      auto want = got;
+      abft::krk_digit_reverse_permute(got.data(), k, r);
+      untiled_digit_reverse_permute(want.data(), k, r);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(cplx)), 0)
+          << "k=" << k << " r=" << r;
+    }
   }
 }
 
@@ -230,6 +265,144 @@ TEST(InplaceAbft, MultipleFaultsAcrossLayers) {
   expect_matches_reference(pristine, x);
   EXPECT_EQ(inj.fired_count(), 3u);
 }
+
+}  // namespace
+}  // namespace ftfft
+
+namespace ftfft {
+namespace {
+
+// Layer 1 runs in tiles of plan.layer1_batch() columns. Faults on the first
+// and last column of a tile and in a ragged last tile must be corrected with
+// the same counters as anywhere else.
+struct TileCase {
+  std::size_t n;
+  std::size_t bins;  // reference bins checked; 0 = the whole spectrum
+};
+
+class InplaceTile : public ::testing::TestWithParam<TileCase> {
+ protected:
+  void SetUp() override {
+    n_ = GetParam().n;
+    const auto shape = abft::inplace_shape(n_);
+    k_ = shape.k;
+    blk_ = shape.k * shape.r;
+    w_ = abft::ProtectionPlan::get(n_, abft::Scheme::kOnlineInplace,
+                                   Options::online_opt(true))
+             ->layer1_batch();
+    x_ = random_vector(n_, InputDistribution::kUniform, 900 + n_);
+    clean_ = x_;
+    Stats stats;
+    abft::inplace_online_transform(clean_.data(), n_, Options::online_opt(true),
+                                   stats);
+    EXPECT_EQ(stats.comp_errors_detected, 0u);
+    EXPECT_EQ(stats.mem_errors_detected, 0u);
+  }
+
+  // Layer-1 columns at tile edges: first and last column of the second
+  // tile (or the first, when there is only one) and the last column overall
+  // (inside a ragged tile when w does not divide the block).
+  std::vector<std::size_t> edge_columns() const {
+    const std::size_t t0 = blk_ > w_ ? w_ : 0;
+    return {t0, std::min(t0 + w_, blk_) - 1, blk_ - 1};
+  }
+
+  Stats run_with(Injector& inj, std::vector<cplx>& y) const {
+    y = x_;
+    Options o = Options::online_opt(true);
+    o.injector = &inj;
+    Stats stats;
+    abft::inplace_online_transform(y.data(), n_, o, stats);
+    EXPECT_EQ(inj.fired_count(), 1u);
+    return stats;
+  }
+
+  void expect_close_to_clean(const std::vector<cplx>& y) const {
+    const double tol = 1e-10 * static_cast<double>(n_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      ASSERT_NEAR(std::abs(y[j] - clean_[j]), 0.0, tol) << "j=" << j;
+    }
+  }
+
+  std::size_t n_ = 0, k_ = 0, blk_ = 0, w_ = 0;
+  std::vector<cplx> x_, clean_;
+};
+
+TEST_P(InplaceTile, FaultFreeMatchesReference) {
+  const double tol = 1e-10 * static_cast<double>(n_);
+  const std::size_t bins = GetParam().bins;
+  if (bins == 0) {
+    const auto want = dft::reference_dft(x_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      ASSERT_NEAR(std::abs(clean_[j] - want[j]), 0.0, tol) << "j=" << j;
+    }
+    return;
+  }
+  // Large n: sampled bins of the O(n^2) oracle, spread over every block.
+  for (std::size_t b = 0; b < bins; ++b) {
+    const std::size_t j = (b * (n_ / bins) + b * 7) % n_;
+    const cplx want = dft::reference_dft_element(x_.data(), n_, j);
+    ASSERT_NEAR(std::abs(clean_[j] - want), 0.0, tol) << "j=" << j;
+  }
+}
+
+TEST_P(InplaceTile, Layer1ComputationalFaultAtTileEdgeCorrected) {
+  for (const std::size_t col : edge_columns()) {
+    Injector inj;
+    inj.schedule(FaultSpec::computational(Phase::kMFftOutput, col, k_ / 2,
+                                          {4.0, -4.0}));
+    std::vector<cplx> y;
+    const Stats stats = run_with(inj, y);
+    expect_close_to_clean(y);
+    EXPECT_EQ(stats.comp_errors_detected, 1u) << "col=" << col;
+    EXPECT_EQ(stats.sub_fft_retries, 1u) << "col=" << col;
+    EXPECT_EQ(stats.mem_errors_detected, 0u) << "col=" << col;
+  }
+}
+
+TEST_P(InplaceTile, InputMemoryFaultAtTileEdgeCorrected) {
+  for (const std::size_t col : edge_columns()) {
+    Injector inj;
+    // Row k/2 of layer-1 column col.
+    inj.schedule(FaultSpec::memory_set(Phase::kInputAfterChecksum, 0,
+                                       (k_ / 2) * blk_ + col, {25.0, -8.0}));
+    std::vector<cplx> y;
+    const Stats stats = run_with(inj, y);
+    expect_close_to_clean(y);
+    EXPECT_EQ(stats.mem_errors_detected, 1u) << "col=" << col;
+    EXPECT_EQ(stats.mem_errors_corrected, 1u) << "col=" << col;
+    EXPECT_EQ(stats.sub_fft_retries, 1u) << "col=" << col;
+    EXPECT_EQ(stats.comp_errors_detected, 0u) << "col=" << col;
+  }
+}
+
+// Every InplaceTile shape has r = 2. The middle layer runs each DMR pass
+// over a whole block, so the hook's per-sub-FFT units at the block edges
+// (first and last i, first and last block) must still be voted out.
+TEST_P(InplaceTile, MiddleLayerDmrFaultAtBlockEdgeVotedOut) {
+  for (const std::size_t unit : {std::size_t{0}, k_ - 1, k_ * (k_ - 1),
+                                 k_ * k_ - 1}) {
+    for (const std::size_t t : {0, 1}) {
+      Injector inj;
+      inj.schedule(FaultSpec::computational(Phase::kMiddleDmrCopy, unit, t,
+                                            {3.0, -2.0}));
+      std::vector<cplx> y;
+      const Stats stats = run_with(inj, y);
+      expect_close_to_clean(y);
+      EXPECT_EQ(stats.dmr_mismatches, 1u) << "unit=" << unit << " t=" << t;
+      EXPECT_EQ(stats.comp_errors_detected, 0u) << "unit=" << unit;
+      EXPECT_EQ(stats.mem_errors_detected, 0u) << "unit=" << unit;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, InplaceTile,
+                         ::testing::Values(TileCase{200, 0},     // k 10, r 2
+                                           TileCase{1 << 13, 512},  // k 64, r 2
+                                           TileCase{1 << 17, 64}),  // k 256
+                         [](const ::testing::TestParamInfo<TileCase>& pi) {
+                           return "n" + std::to_string(pi.param.n);
+                         });
 
 }  // namespace
 }  // namespace ftfft

@@ -56,6 +56,62 @@ TEST(DmrTwiddle, ScalePrefactorApplied) {
   }
 }
 
+// Lengths around the four interleaved recurrences and the 64-element resync
+// block: shorter than one group, ragged groups and ragged resync blocks.
+constexpr std::size_t kTailLengths[] = {1,  2,  3,  5,   7,  63,
+                                        65, 66, 67, 130, 199};
+
+TEST(DmrTwiddle, TailLengthsMatchDirectComputation) {
+  const std::size_t n = 8192, step = 11;
+  for (const std::size_t len : kTailLengths) {
+    auto x = random_vector(len, InputDistribution::kUniform, 10 + len);
+    std::vector<cplx> out(len);
+    EXPECT_EQ(abft::dmr_twiddle_multiply(x.data(), 1, out.data(), len, n, step,
+                                         0, nullptr),
+              0u)
+        << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      const cplx want = x[i] * omega(n, i * step);
+      EXPECT_NEAR(std::abs(out[i] - want), 0.0, 1e-12) << len << ":" << i;
+    }
+  }
+}
+
+TEST(DmrTwiddle, StridedSourceAtTailLengths) {
+  const std::size_t stride = 5, n = 4096, step = 13;
+  for (const std::size_t len : kTailLengths) {
+    auto flat =
+        random_vector(len * stride, InputDistribution::kNormal, 20 + len);
+    std::vector<cplx> out(len);
+    EXPECT_EQ(abft::dmr_twiddle_multiply(flat.data(), stride, out.data(), len,
+                                         n, step, 0, nullptr),
+              0u)
+        << len;
+    for (std::size_t i = 0; i < len; ++i) {
+      const cplx want = flat[i * stride] * omega(n, i * step);
+      EXPECT_NEAR(std::abs(out[i] - want), 0.0, 1e-12) << len << ":" << i;
+    }
+  }
+}
+
+TEST(DmrTwiddle, ScalePrefactorOverSeveralResyncBlocks) {
+  // The distributed callers' omega_N^(base + i*step) form, long enough that
+  // every resync block restarts the recurrences from the scaled exact value.
+  const std::size_t n = 1 << 21, step = 3;
+  const cplx scale = omega(n, 987654);
+  for (const std::size_t len : {std::size_t{257}, std::size_t{1000}}) {
+    auto x = random_vector(len, InputDistribution::kUniform, 30 + len);
+    std::vector<cplx> out(len);
+    EXPECT_EQ(abft::dmr_twiddle_multiply(x.data(), 1, out.data(), len, n, step,
+                                         0, nullptr, scale),
+              0u);
+    for (std::size_t i = 0; i < len; ++i) {
+      const cplx want = cmul(x[i], cmul(scale, omega(n, i * step)));
+      EXPECT_NEAR(std::abs(out[i] - want), 0.0, 1e-12) << len << ":" << i;
+    }
+  }
+}
+
 TEST(DmrTwiddle, VotesOutInjectedFault) {
   const std::size_t len = 128, n = 1024, step = 9, unit = 4;
   auto x = random_vector(len, InputDistribution::kUniform, 4);
