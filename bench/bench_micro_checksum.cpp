@@ -11,6 +11,7 @@
 #include "abft/dmr.hpp"
 #include "bench_backend.hpp"
 #include "checksum/dot.hpp"
+#include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
 #include "checksum/weights.hpp"
 #include "common/rng.hpp"
@@ -56,23 +57,6 @@ BENCHMARK_CAPTURE(BM_DualWeightedSum, scalar, false)
     ->RangeMultiplier(16)
     ->Range(1 << 10, 1 << 18);
 BENCHMARK_CAPTURE(BM_DualWeightedSum, dispatched, true)
-    ->RangeMultiplier(16)
-    ->Range(1 << 10, 1 << 18);
-
-void BM_DualPlainSumRobust(benchmark::State& state, bool dispatched) {
-  use_backend(state, dispatched);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto x = random_vector(n, InputDistribution::kNormal, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(checksum::dual_plain_sum_robust(x.data(), n));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK_CAPTURE(BM_DualPlainSumRobust, scalar, false)
-    ->RangeMultiplier(16)
-    ->Range(1 << 10, 1 << 18);
-BENCHMARK_CAPTURE(BM_DualPlainSumRobust, dispatched, true)
     ->RangeMultiplier(16)
     ->Range(1 << 10, 1 << 18);
 
@@ -186,6 +170,38 @@ void BM_RaGenClosedForm(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RaGenClosedForm)->RangeMultiplier(16)->Range(1 << 10, 1 << 16);
+
+// Input CMCG of the online schemes over a square n = side^2 input (the
+// balanced m x k split): one pass of the column-checksum kernel builds every
+// slot's dual sums and energy.
+// t2_dispatched is the multi-error path, which folds the syndromes in its
+// own scalar loop.
+void BM_InputCmcg(benchmark::State& state, int t, bool dispatched) {
+  use_backend(state, dispatched);
+  const auto side = static_cast<std::size_t>(state.range(0));
+  auto x = random_vector(side * side, InputDistribution::kUniform, 10);
+  auto w = checksum::input_checksum_vector(side,
+                                           checksum::RaGenMethod::kClosedForm);
+  std::vector<cplx> s1, s2;
+  std::vector<double> energy;
+  std::vector<checksum::SyndromeSet> syn;
+  for (auto _ : state) {
+    checksum::input_cmcg(x.data(), side, side, w.data(), t > 1 ? 2 * t : 0,
+                         s1, s2, energy, syn);
+    benchmark::DoNotOptimize(s1.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(side * side));
+}
+BENCHMARK_CAPTURE(BM_InputCmcg, scalar, 1, false)
+    ->RangeMultiplier(4)
+    ->Range(1 << 6, 1 << 11);
+BENCHMARK_CAPTURE(BM_InputCmcg, dispatched, 1, true)
+    ->RangeMultiplier(4)
+    ->Range(1 << 6, 1 << 11);
+BENCHMARK_CAPTURE(BM_InputCmcg, t2_dispatched, 2, true)
+    ->RangeMultiplier(4)
+    ->Range(1 << 6, 1 << 11);
 
 void BM_DmrTwiddle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

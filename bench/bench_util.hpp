@@ -31,6 +31,22 @@ inline double time_best(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// Minimum over `rounds` measurements of each of `count` cases, taken in
+/// interleaved rounds with the case order rotating every round, so drift of
+/// a shared host hits every case alike instead of whichever ran last.
+inline std::vector<double> interleaved_best(
+    std::size_t rounds, std::size_t count,
+    const std::function<double(std::size_t)>& measure) {
+  std::vector<double> best(count, 1e300);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t c = (j + r) % count;
+      best[c] = std::min(best[c], measure(c));
+    }
+  }
+  return best;
+}
+
 /// Percentage overhead of `t` over baseline `t0`.
 inline double overhead_pct(double t, double t0) {
   return t0 > 0.0 ? (t - t0) / t0 * 100.0 : 0.0;

@@ -9,13 +9,16 @@
 // per-element sin/cos. Every block of 64 elements restarts from the exact
 // omega_N value, then four interleaved recurrences (elements i mod 4, each
 // stepped by omega_N^(4*step)) carry it through the block, so neighbouring
-// multiplies are independent and pipeline. Both executions call the same
-// routine, so a fault-free run compares bit-equal; the table-exact third
-// evaluation only runs on a mismatch.
+// multiplies are independent and pipeline. The recurrence is a SIMD kernel
+// (simd::FftKernels::twiddle_multiply) whose vector bodies round exactly
+// like the scalar reference, so the products do not depend on the backend.
+// Both executions call the same routine, so a fault-free run compares
+// bit-equal; the table-exact third evaluation only runs on a mismatch.
 #pragma once
 
 #include <cstddef>
 
+#include "checksum/dot.hpp"
 #include "common/complex.hpp"
 #include "fault/injector.hpp"
 
@@ -29,11 +32,18 @@ namespace ftfft::abft {
 /// `unit` tags the injector hook (phase kTwiddleDmrCopy fires on the first
 /// redundant copy). Returns the number of elementwise mismatches repaired by
 /// the vote; 0 on a fault-free run.
+///
+/// With cw non-null, *cs receives weighted_sum_energy(cw, dst, len) of the
+/// final dst: the first copy accumulates it in flight, and a mismatch
+/// recomputes it over the voted result. Bit-identical to the separate sweep
+/// either way.
 std::size_t dmr_twiddle_multiply(const cplx* src, std::size_t stride,
                                  cplx* dst, std::size_t len, std::size_t n,
                                  std::size_t factor_step, std::size_t unit,
                                  fault::Injector* injector,
-                                 cplx scale = cplx{1.0, 0.0});
+                                 cplx scale = cplx{1.0, 0.0},
+                                 const cplx* cw = nullptr,
+                                 checksum::SumEnergy* cs = nullptr);
 
 /// One unvoted execution of the routine both copies above run:
 /// dst[i] = src[i * stride] * scale * omega_N^(i * factor_step). For

@@ -91,32 +91,12 @@ class InplaceRun {
   void setup() {
     if (inj() != nullptr) inj()->apply(Phase::kInputBeforeChecksum, 0, x_, n_);
     if (opts_.memory_ft) {
-      // CMCG: slot i covers the layer-1 sub-FFT over x[s*blk + i]. With a
-      // multi-error budget (t > 1) the same pass also folds each weighted
-      // element into the slot's 2t syndrome moments (PR 9 escalation).
-      const int nm = plan_.syndrome_moments();
-      s1_.assign(blk_, cplx{0, 0});
-      s2_.assign(blk_, cplx{0, 0});
-      e_in_.assign(blk_, 0.0);
-      if (nm > 0) {
-        checksum::SyndromeSet init;
-        init.moments = nm;
-        syn1_.assign(blk_, init);
-      }
-      const double inv_k = 1.0 / static_cast<double>(k_);
-      const cplx* w = opts_.combined_checksums ? ck_ : nullptr;
-      for (std::size_t s = 0; s < k_; ++s) {
-        const cplx ws = (w != nullptr) ? w[s] : cplx{1.0, 0.0};
-        const double sd = static_cast<double>(s);
-        const cplx* row = x_ + s * blk_;
-        for (std::size_t i = 0; i < blk_; ++i) {
-          const cplx p = cmul(ws, row[i]);
-          s1_[i] += p;
-          s2_[i] += sd * p;
-          e_in_[i] += norm2(row[i]);
-          if (nm > 0) syn1_[i].accumulate(s, p, inv_k);
-        }
-      }
+      // CMCG: slot i covers the layer-1 sub-FFT over x[s*blk + i]; with a
+      // multi-error budget (t > 1) the same pass also builds the slots' 2t
+      // syndrome moments.
+      checksum::input_cmcg(x_, k_, blk_,
+                           opts_.combined_checksums ? ck_ : nullptr,
+                           plan_.syndrome_moments(), s1_, s2_, e_in_, syn1_);
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }

@@ -27,12 +27,17 @@ double sigma_from_energy(double energy, std::size_t n) {
   return std::sqrt(energy / (2.0 * static_cast<double>(n)) + 1e-300);
 }
 
-/// Internal backup for the postponed MCV, reused by every call on this
-/// thread: grown on demand, never shrunk. A per-call vector page-faulted
-/// its zero-filled pages on every large transform.
-cplx* backup_scratch(std::size_t n) {
+/// Per-thread buffers reused by every call on this thread: grown on demand,
+/// never shrunk. kBackup parks the intermediate for the postponed MCV;
+/// kStaging holds the layer-1 gather block, the layer-2 column stages and
+/// finalize's recompute buffers, one phase at a time. Per-call vectors
+/// page-faulted their zero-filled pages on every large transform.
+enum class Scratch { kBackup, kStaging };
+
+template <Scratch S>
+cplx* scratch(std::size_t elems) {
   thread_local std::vector<cplx> store;
-  if (store.size() < n) store.resize(n);
+  if (store.size() < elems) store.resize(elems);
   return store.data();
 }
 
@@ -88,34 +93,15 @@ class OnlineRun {
   void setup() {
     if (inj() != nullptr) inj()->apply(Phase::kInputBeforeChecksum, 0, x_, n_);
 
-    e_in_.assign(k_, 0.0);
     if (opts_.memory_ft) {
       // CMCG: one contiguous pass over the input builds the per-sub-FFT
-      // dual checksums (slot i covers elements x[t*k + i]). With a
-      // multi-error budget (t > 1) the same pass also folds each weighted
-      // element into the slot's 2t syndrome moments — the only extra cost
-      // the escalation path adds to a fault-free run.
-      const int nm = plan_.syndrome_moments();
-      s1_.assign(k_, cplx{0, 0});
-      s2_.assign(k_, cplx{0, 0});
-      if (nm > 0) {
-        checksum::SyndromeSet init;
-        init.moments = nm;
-        syn1_.assign(k_, init);
-      }
-      const double inv_m = 1.0 / static_cast<double>(m_);
-      for (std::size_t t = 0; t < m_; ++t) {
-        const cplx w = opts_.combined_checksums ? cm_[t] : cplx{1.0, 0.0};
-        const double td = static_cast<double>(t);
-        const cplx* row = x_ + t * k_;
-        for (std::size_t i = 0; i < k_; ++i) {
-          const cplx p = cmul(w, row[i]);
-          s1_[i] += p;
-          s2_[i] += td * p;
-          e_in_[i] += norm2(row[i]);
-          if (nm > 0) syn1_[i].accumulate(t, p, inv_m);
-        }
-      }
+      // dual checksums (slot i covers elements x[t*k + i]) and, with a
+      // multi-error budget (t > 1), the slots' 2t syndrome moments.
+      checksum::input_cmcg(x_, m_, k_,
+                           opts_.combined_checksums ? cm_ : nullptr,
+                           plan_.syndrome_moments(), s1_, s2_, e_in_, syn1_);
+    } else {
+      e_in_.assign(k_, 0.0);
     }
     if (inj() != nullptr) inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_);
   }
@@ -137,7 +123,9 @@ class OnlineRun {
     // every checksum/FFT pass runs over contiguous buffers. The width was
     // resolved once at plan build (1 = unbuffered).
     const std::size_t batch = plan_.layer1_batch();
-    std::vector<cplx> bufblock(opts_.contiguous_buffering ? batch * m_ : 0);
+    cplx* const bufblock = opts_.contiguous_buffering
+                               ? scratch<Scratch::kStaging>(batch * m_)
+                               : nullptr;
 
     for (std::size_t i0 = 0; i0 < k_; i0 += batch) {
       const std::size_t bw = std::min(batch, k_ - i0);
@@ -149,9 +137,16 @@ class OnlineRun {
       }
       for (std::size_t il = 0; il < bw; ++il) {
         run_sub_fft(i0 + il,
-                    opts_.contiguous_buffering ? bufblock.data() + il * m_
-                                               : nullptr,
+                    opts_.contiguous_buffering ? bufblock + il * m_ : nullptr,
                     fftm);
+      }
+      if (opts_.memory_ft && opts_.incremental_mcg) {
+        // Section 4.3: fold the batch's verified outputs (rows i0.. of the
+        // intermediate) into the column checksums and column energies of
+        // the second layer while they are still cache-hot.
+        checksum::accumulate_column_checksums(out_ + i0 * m_, bw, m_, i0,
+                                              nullptr, o1_.data(), o2_.data(),
+                                              e_mid_.data());
       }
     }
   }
@@ -264,22 +259,10 @@ class OnlineRun {
       ++stats_.comp_errors_detected;
     }
 
-    if (opts_.memory_ft) {
-      if (opts_.incremental_mcg) {
-        // Section 4.3: fold this sub-FFT's output into the column checksums
-        // of the second layer while it is still cache-hot. (Column energies
-        // are collected later, during the column MCV pass, to keep this hot
-        // loop lean.)
-        const double id = static_cast<double>(i);
-        for (std::size_t c = 0; c < m_; ++c) {
-          o1_[c] += yi[c];
-          o2_[c] += id * yi[c];
-        }
-      } else {
-        // Naive hierarchy: row checksums over this sub-FFT's output; the
-        // column checksums are regenerated in a separate pass later.
-        r1_[i] = checksum::dual_weighted_sum(nullptr, yi, m_);
-      }
+    if (opts_.memory_ft && !opts_.incremental_mcg) {
+      // Naive hierarchy: row checksums over this sub-FFT's output; the
+      // column checksums are regenerated in a separate pass later.
+      r1_[i] = checksum::dual_weighted_sum(nullptr, yi, m_);
     }
   }
 
@@ -370,12 +353,9 @@ class OnlineRun {
           }
           ++stats_.mem_errors_corrected;
         }
-        const double id = static_cast<double>(i);
-        for (std::size_t c = 0; c < m_; ++c) {
-          o1_[c] += yi[c];
-          o2_[c] += id * yi[c];
-          e_mid_[c] += norm2(yi[c]);
-        }
+        checksum::accumulate_column_checksums(yi, 1, m_, i, nullptr,
+                                              o1_.data(), o2_.data(),
+                                              e_mid_.data());
       }
     }
 
@@ -386,7 +366,7 @@ class OnlineRun {
       if (opts_.backup_in_input) {
         backup_ = x_;
       } else {
-        backup_ = backup_scratch(n_);
+        backup_ = scratch<Scratch::kBackup>(n_);
       }
       std::memcpy(backup_, out_, n_ * sizeof(cplx));
     }
@@ -395,9 +375,7 @@ class OnlineRun {
   // ---------------------------------------------------------- second layer
   void second_layer() {
     fft::Fft fftk(k_);
-    std::vector<cplx> tw(k_), res(k_);
     col_ccv_.assign(m_, cplx{0, 0});
-    if (!opts_.memory_ft) e_mid_.assign(m_, 0.0);
     if (opts_.memory_ft && !opts_.postpone_mcv) f1_.assign(m_, DualSum{});
 
     // Stage `s` columns at a time (section 4.4 on the second layer, the
@@ -405,8 +383,10 @@ class OnlineRun {
     // a column-major block, every per-column pass then runs contiguous, and
     // the verified results are written back row-wise in one batched pass.
     const std::size_t s = plan_.layer2_cols();
-    std::vector<cplx> stage(opts_.contiguous_buffering ? s * k_ : 0);
-    std::vector<cplx> ostage(opts_.contiguous_buffering ? s * k_ : 0);
+    cplx* const tw = scratch<Scratch::kStaging>(2 * (s + 1) * k_);
+    cplx* const res = tw + k_;
+    cplx* const stage = res + k_;
+    cplx* const ostage = stage + s * k_;
 
     for (std::size_t c0 = 0; c0 < m_; c0 += s) {
       const std::size_t sc = std::min(s, m_ - c0);
@@ -417,8 +397,7 @@ class OnlineRun {
           for (std::size_t c = 0; c < sc; ++c) stage[c * k_ + i] = row[c];
         }
         for (std::size_t c = 0; c < sc; ++c) {
-          process_column(c0 + c, stage.data() + c * k_, 1, fftk, tw.data(),
-                         ostage.data() + c * k_);
+          process_column(c0 + c, stage + c * k_, 1, fftk, tw, ostage + c * k_);
         }
         // Row-wise write-back of the verified results: out[j*m + c] gets
         // result element j of column c.
@@ -428,8 +407,7 @@ class OnlineRun {
         }
       } else {
         for (std::size_t c = 0; c < sc; ++c) {
-          process_column(c0 + c, out_ + c0 + c, m_, fftk, tw.data(),
-                         res.data());
+          process_column(c0 + c, out_ + c0 + c, m_, fftk, tw, res);
           // Unstaged: scatter the result column directly.
           for (std::size_t j = 0; j < k_; ++j) {
             out_[(c0 + c) + m_ * j] = res[j];
@@ -439,26 +417,28 @@ class OnlineRun {
     }
   }
 
-  // Processes column c: MCV, DMR twiddle, CCG, protected k-point FFT. The
-  // verified result lands in `res` (contiguous); the caller writes it back.
-  void process_column(std::size_t c, const cplx* col, std::size_t stride,
+  // Processes column c: MCV, DMR twiddle with the CCG on its first copy,
+  // protected k-point FFT. The verified result lands in `res` (contiguous);
+  // the caller writes it back.
+  void process_column(std::size_t c, cplx* col, std::size_t stride,
                       fft::Fft& fftk, cplx* tw, cplx* res) {
     double sigma_col = 0.0;
     if (opts_.memory_ft) {
       // Column MCV against the (incrementally or regenerated) checksums.
-      // One fused pass yields the comparison sums and an outlier-robust
-      // scale estimate (the column may contain the corruption under test).
-      const auto cur = checksum::dual_plain_sum_robust(col, k_, stride);
-      sigma_col = sigma_from_energy(cur.robust_energy(), k_);
-      e_mid_[c] = cur.robust_energy();
+      // The threshold scales with the column energy layer 1 folded from its
+      // verified outputs, which a corruption of the column since then cannot
+      // inflate; so one plain dual sum of the column is all this check reads.
+      sigma_col = sigma_from_energy(e_mid_[c], k_);
       const double eta_mem =
           opts_.eta_override > 0.0
               ? opts_.eta_override
               : roundoff::eta_from_coeff(plan_.eta_k().mem, sigma_col);
       stats_.eta_mem = std::max(stats_.eta_mem, eta_mem);
       const DualSum stored{o1_[c], o2_[c]};
+      const cplx cur =
+          checksum::dual_weighted_sum(nullptr, col, k_, stride).plain;
       ++stats_.verifications;
-      if (std::abs(cur.sums.plain - stored.plain) > eta_mem) {
+      if (std::abs(cur - stored.plain) > eta_mem) {
         // Mismatch: repair the authoritative intermediate iteratively, then
         // refresh the staged copy. Derived checksums (these column duals
         // are accumulated from sub-FFT outputs, not generated over stored
@@ -473,63 +453,46 @@ class OnlineRun {
               "online ABFT: column memory error not localizable");
         }
         ++stats_.mem_errors_corrected;
-        if (col != out_ + c) {
-          cplx* staged = const_cast<cplx*>(col);
-          for (std::size_t i = 0; i < k_; ++i) {
-            staged[i * stride] = out_[i * m_ + c];
-          }
+        // The backup was parked after the corruption: repair it too, or a
+        // later final-output fault in this column is recomputed from it.
+        for (std::size_t i = 0; i < k_; ++i) {
+          const cplx v = out_[i * m_ + c];
+          col[i * stride] = v;
+          if (backup_ != nullptr) backup_[i * m_ + c] = v;
         }
       }
     }
 
-    // Twiddle (DMR) + CCG. tw[i] = col[i] * omega_n^(i*c).
-    stats_.dmr_mismatches +=
-        dmr_twiddle_multiply(col, stride, tw, k_, n_, c, c, inj());
+    // Twiddle (DMR), tw[i] = col[i] * omega_n^(i*c); its first copy also
+    // yields the CCG sum_i ck[i] * tw[i] and the energy of tw.
+    checksum::SumEnergy se;
+    stats_.dmr_mismatches += dmr_twiddle_multiply(
+        col, stride, tw, k_, n_, c, c, inj(), cplx{1.0, 0.0}, ck_, &se);
+    const cplx ccg = se.sum;
+    if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
     // tw is always contiguous, so the fused engine applies to both staged
     // and unstaged columns — at the sub-sizes where it profits on the
     // DMR-hot data (same gate as the rows, and as the recompute below).
-    const fft::InplaceRadix2Plan* fused =
-        opts_.fused_checksums &&
-                (opts_.fused_ignore_profitability || fused_profitable(k_))
-            ? plan_.fused_plan_k()
-            : nullptr;
-    cplx ccg{0.0, 0.0};
-    bool have_ccg = false;
-    if (fused == nullptr) {
-      const auto se = checksum::weighted_sum_energy(ck_, tw, k_);
-      ccg = se.sum;
-      have_ccg = true;
-      if (!opts_.memory_ft) sigma_col = sigma_from_energy(se.energy, k_);
-    }
-    double eta = -1.0;  // resolved once the energy estimate is in hand
+    const fft::InplaceRadix2Plan* fused = fused_plan_k();
+    const double eta =
+        opts_.eta_override > 0.0
+            ? opts_.eta_override
+            : roundoff::eta_from_coeff(plan_.eta_k().comp, sigma_col);
+    stats_.eta_k = std::max(stats_.eta_k, eta);
 
     for (int attempt = 0;; ++attempt) {
       cplx rx;
       if (fused != nullptr) {
         fft::InplaceRadix2Plan::FusedDots dots;
         InjectorHook hook{inj(), Phase::kKFftOutput, c};
-        fused->forward_fused(tw, res, have_ccg ? nullptr : ck_,
-                             plan_.weights_omega3_k(), dots,
+        fused->forward_fused(tw, res, nullptr, plan_.weights_omega3_k(), dots,
                              inj() != nullptr ? &InjectorHook::call : nullptr,
                              &hook);
-        if (!have_ccg) {
-          ccg = dots.in_sum;
-          if (!opts_.memory_ft) {
-            sigma_col = sigma_from_energy(dots.in_energy, k_);
-          }
-          have_ccg = true;
-        }
         rx = dots.out_sum;
       } else {
         fftk.execute(tw, res);
         if (inj() != nullptr) inj()->apply(Phase::kKFftOutput, c, res, k_);
         rx = checksum::omega3_weighted_sum(res, k_);
-      }
-      if (eta < 0.0) {
-        eta = opts_.eta_override > 0.0
-                  ? opts_.eta_override
-                  : roundoff::eta_from_coeff(plan_.eta_k().comp, sigma_col);
-        stats_.eta_k = std::max(stats_.eta_k, eta);
       }
       ++stats_.verifications;
       if (std::abs(rx - ccg) <= eta) break;
@@ -549,6 +512,15 @@ class OnlineRun {
     }
   }
 
+  // The in-place engine that runs the k-point sub-FFTs with fused checksums,
+  // or nullptr for the separate-pass reference.
+  const fft::InplaceRadix2Plan* fused_plan_k() const {
+    return opts_.fused_checksums &&
+                   (opts_.fused_ignore_profitability || fused_profitable(k_))
+               ? plan_.fused_plan_k()
+               : nullptr;
+  }
+
   // -------------------------------------------------------------- finalize
   void finalize() {
     if (inj() != nullptr) inj()->apply(Phase::kFinalOutput, 0, out_, n_);
@@ -556,17 +528,20 @@ class OnlineRun {
 
     // Final MCV: per-column omega_3-weighted sums of the output, computed
     // in one contiguous sweep with the bucket-by-(j mod 3) trick.
-    std::vector<cplx> b0(m_, cplx{0, 0}), b1(m_, cplx{0, 0}),
-        b2(m_, cplx{0, 0});
+    cplx* const b0 = scratch<Scratch::kStaging>(3 * m_ + 2 * k_);
+    cplx* const b1 = b0 + m_;
+    cplx* const b2 = b1 + m_;
+    cplx* const tw = b2 + m_;
+    cplx* const res = tw + k_;
+    std::fill(b0, tw, cplx{0, 0});
     for (std::size_t j = 0; j < k_; ++j) {
       const cplx* row = out_ + j * m_;
-      std::vector<cplx>& bucket = (j % 3 == 0) ? b0 : (j % 3 == 1) ? b1 : b2;
+      cplx* bucket = (j % 3 == 0) ? b0 : (j % 3 == 1) ? b1 : b2;
       for (std::size_t c = 0; c < m_; ++c) bucket[c] += row[c];
     }
     const cplx w1 = omega3_pow(1);
     const cplx w2 = omega3_pow(2);
     fft::Fft fftk(k_);
-    std::vector<cplx> tw(k_), res(k_), colbuf(k_);
     for (std::size_t c = 0; c < m_; ++c) {
       const cplx rx = b0[c] + cmul(w1, b1[c]) + cmul(w2, b2[c]);
       const double sigma = sigma_from_energy(e_mid_[c], k_);
@@ -599,28 +574,24 @@ class OnlineRun {
       // recomputation must run the same engine process_column used — in
       // fused mode that is the in-place plan — so a repaired column is
       // bit-identical to a never-corrupted run.
-      for (std::size_t i = 0; i < k_; ++i) colbuf[i] = backup_[i * m_ + c];
+      checksum::SumEnergy se;
       stats_.dmr_mismatches +=
-          dmr_twiddle_multiply(colbuf.data(), 1, tw.data(), k_, n_, c, c,
-                               nullptr);
-      const fft::InplaceRadix2Plan* fused =
-          opts_.fused_checksums &&
-                  (opts_.fused_ignore_profitability || fused_profitable(k_))
-              ? plan_.fused_plan_k()
-              : nullptr;
-      cplx ccg, rx2;
+          dmr_twiddle_multiply(backup_ + c, m_, tw, k_, n_, c, c, nullptr,
+                               cplx{1.0, 0.0}, ck_, &se);
+      const fft::InplaceRadix2Plan* fused = fused_plan_k();
+      cplx rx2;
       if (fused != nullptr) {
         fft::InplaceRadix2Plan::FusedDots dots;
-        fused->forward_fused(tw.data(), res.data(), ck_,
-                             plan_.weights_omega3_k(), dots);
-        ccg = dots.in_sum;
+        fused->forward_fused(tw, res, nullptr, plan_.weights_omega3_k(), dots);
         rx2 = dots.out_sum;
       } else {
-        ccg = checksum::weighted_sum(ck_, tw.data(), k_);
-        fftk.execute(tw.data(), res.data());
-        rx2 = checksum::omega3_weighted_sum(res.data(), k_);
+        fftk.execute(tw, res);
+        rx2 = checksum::omega3_weighted_sum(res, k_);
       }
-      if (std::abs(rx2 - ccg) > eta) {
+      // The recomputed column must match its own CCG and the one the second
+      // layer stored: a backup corrupted after it was parked passes the
+      // first check but not the second.
+      if (std::abs(rx2 - se.sum) > eta || std::abs(rx2 - col_ccv_[c]) > eta) {
         throw UncorrectableError(
             "online ABFT: column recomputation failed verification");
       }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "simd/dispatch.hpp"
+
 namespace ftfft::checksum {
 namespace {
 
@@ -63,6 +65,44 @@ RepairResult repair_single_error(const DualSum& stored, cplx* data,
   out.corrected =
       !locate_single_error(stored, cur, w, n, eta).mismatch;
   return out;
+}
+
+void accumulate_column_checksums(const cplx* x, std::size_t rows,
+                                 std::size_t cols, std::size_t first_row,
+                                 const cplx* w, cplx* s1, cplx* s2,
+                                 double* energy) {
+  simd::checksum_kernels().column_checksums(x, rows, cols, first_row, w, s1,
+                                            s2, energy);
+}
+
+void input_cmcg(const cplx* x, std::size_t rows, std::size_t cols,
+                const cplx* w, int moments, std::vector<cplx>& s1,
+                std::vector<cplx>& s2, std::vector<double>& energy,
+                std::vector<SyndromeSet>& syn) {
+  s1.assign(cols, cplx{0.0, 0.0});
+  s2.assign(cols, cplx{0.0, 0.0});
+  energy.assign(cols, 0.0);
+  syn.clear();
+  if (moments == 0) {
+    accumulate_column_checksums(x, rows, cols, 0, w, s1.data(), s2.data(),
+                                energy.data());
+    return;
+  }
+  SyndromeSet init;
+  init.moments = moments;
+  syn.assign(cols, init);
+  const double inv_rows = 1.0 / static_cast<double>(rows);
+  for (std::size_t t = 0; t < rows; ++t) {
+    const double td = static_cast<double>(t);
+    const cplx* row = x + t * cols;
+    for (std::size_t i = 0; i < cols; ++i) {
+      const cplx p = w != nullptr ? cmul(w[t], row[i]) : row[i];
+      s1[i] += p;
+      s2[i] += td * p;
+      energy[i] += norm2(row[i]);
+      syn[i].accumulate(t, p, inv_rows);
+    }
+  }
 }
 
 }  // namespace ftfft::checksum

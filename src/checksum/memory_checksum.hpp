@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "checksum/dot.hpp"
+#include "checksum/multi_error.hpp"
 #include "common/complex.hpp"
 
 namespace ftfft::checksum {
@@ -56,5 +58,31 @@ struct RepairResult {
                                                cplx* data, std::size_t stride,
                                                const cplx* w, std::size_t n,
                                                double eta, int max_iters = 4);
+
+/// Column checksums of the online schemes: x is a rows x cols row-major
+/// block whose rows carry the indices t = first_row, first_row + 1, ...;
+/// for every column i, s1[i] += sum_t p_ti, s2[i] += sum_t t p_ti and
+/// energy[i] += sum_t |x_ti|^2, with p_ti = w[t - first_row] * x_ti
+/// (w == nullptr: p_ti = x_ti), summed in t order. One contiguous pass on
+/// the dispatched SIMD body, bitwise equal to the scalar one on every
+/// backend. Folding successive row blocks gives the same bits as one call
+/// over their union.
+void accumulate_column_checksums(const cplx* x, std::size_t rows,
+                                 std::size_t cols, std::size_t first_row,
+                                 const cplx* w, cplx* s1, cplx* s2,
+                                 double* energy);
+
+/// Input CMCG of the online schemes (section 3.2): slot i covers column i
+/// of the rows x cols input, the elements x[t*cols + i] of one first-layer
+/// sub-FFT. Sets s1, s2 and energy (each resized to cols) to the column
+/// checksums above with first_row 0. With moments > 0 (a multi-error budget
+/// t > 1) the same pass folds every weighted element into the slot's
+/// syndrome moments, the only cost that escalation path adds to a
+/// fault-free run, in a scalar loop with the same dual-sum bits; otherwise
+/// syn is cleared.
+void input_cmcg(const cplx* x, std::size_t rows, std::size_t cols,
+                const cplx* w, int moments, std::vector<cplx>& s1,
+                std::vector<cplx>& s2, std::vector<double>& energy,
+                std::vector<SyndromeSet>& syn);
 
 }  // namespace ftfft::checksum

@@ -4,7 +4,9 @@
 //   * the in-place radix-4 butterfly stages (fft/inplace_radix2.cpp),
 //   * the out-of-place executor's combine loop and the size-4/8/16 leaf
 //     codelets (fft/executor.cpp, dft/codelets.cpp),
-//   * the stride-1 checksum dot products (checksum/dot.cpp).
+//   * the stride-1 checksum dot products (checksum/dot.cpp) and the column
+//     checksums of the online schemes (checksum/memory_checksum.cpp),
+//   * the DMR twiddle stage and its copy compare (abft/dmr.cpp).
 //
 // Each backend TU (kernels_scalar.cpp, kernels_avx2.cpp, kernels_neon.cpp)
 // fills one static table; the getters below return nullptr when the backend
@@ -28,8 +30,6 @@ struct ChecksumKernels {
                                          std::size_t n);
   double (*energy)(const cplx* x, std::size_t n);
   double (*robust_energy)(const cplx* x, std::size_t n);
-  checksum::DualSumRobust (*dual_plain_sum_robust)(const cplx* x,
-                                                   std::size_t n);
   checksum::SumEnergy (*weighted_sum_energy)(const cplx* w, const cplx* x,
                                              std::size_t n);
   checksum::DualSumEnergy (*dual_weighted_sum_energy)(const cplx* w,
@@ -51,6 +51,16 @@ struct ChecksumKernels {
   /// means all-ones. moments <= 8.
   void (*syndrome_dot)(const cplx* w, const cplx* x, const double* nodes2,
                        std::size_t n, int moments, cplx* out);
+  /// checksum::accumulate_column_checksums: over a rows x cols row-major
+  /// block whose rows carry the indices t = first_row, first_row + 1, ...,
+  /// for every column i, row by row in t order, s1[i] += p,
+  /// s2[i] += t * p and energy[i] += |x_ti|^2, with
+  /// p = w[t - first_row] * x_ti (w == nullptr: p = x_ti). Lanes run across
+  /// columns and nothing is contracted, so every backend is bitwise
+  /// identical to the scalar reference.
+  void (*column_checksums)(const cplx* x, std::size_t rows, std::size_t cols,
+                           std::size_t first_row, const cplx* w, cplx* s1,
+                           cplx* s2, double* energy);
 };
 
 /// FFT butterfly/combine kernels.
@@ -172,6 +182,21 @@ struct FftKernels {
   void (*r2c_last_stage16)(cplx* dst, std::size_t nc, const cplx* w1a,
                            const cplx* w2a, const cplx* w1b, const cplx* w2b,
                            const cplx* wq);
+  // ---- DMR twiddle stage (abft/dmr.hpp).
+  /// dst[i] = src[i * stride] * scale * omega_N^(i * step) for i in
+  /// [0, len), by the resync-every-64 four-lane recurrence. The products
+  /// are bitwise identical on every backend (plain mul/addsub, never
+  /// contracted). When cw is non-null, *cs also receives
+  /// sum_i cw[i] * dst[i] and the energy of dst, accumulated in the
+  /// registers of weighted_sum_energy: bit-identical to that sweep over dst
+  /// on the same backend. dst may equal src when stride == 1.
+  void (*twiddle_multiply)(const cplx* src, std::size_t stride, cplx* dst,
+                           std::size_t len, std::size_t n, std::size_t step,
+                           cplx scale, const cplx* cw,
+                           checksum::SumEnergy* cs);
+  /// First i with a[i] != b[i] under complex != (NaN never equals,
+  /// -0 == +0), or n: the compare of the two DMR copies.
+  std::size_t (*first_mismatch)(const cplx* a, const cplx* b, std::size_t n);
 };
 
 /// Backend tables. A getter returns nullptr when that backend is not
@@ -222,5 +247,24 @@ void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
                               const cplx* wq, bool conjugate,
                               std::size_t begin, std::size_t end,
                               const cplx* cw, cplx* cs);
+
+/// Seeds of one resync block of the DMR twiddle recurrence: w4[0] =
+/// scale * omega_N^(i0 * step), w4[j+1] = w4[j] * base. Every backend starts
+/// its blocks from these rounded values.
+void scalar_twiddle_seeds(std::size_t n, std::size_t i0, std::size_t step,
+                          cplx scale, cplx base, cplx* w4);
+
+/// dst[j] = src[j * stride] * w[j] for j < count (the ragged end of a
+/// twiddle block, count < 4), rounded like the reference.
+void scalar_twiddle_tail(const cplx* src, std::size_t stride, cplx* dst,
+                         std::size_t count, const cplx* w);
+
+/// Reference column checksums over columns [begin, end) of the rows x cols
+/// block (remainder columns of the vector backends; see ChecksumKernels).
+void scalar_column_checksums(const cplx* x, std::size_t rows,
+                             std::size_t cols, std::size_t first_row,
+                             const cplx* w, cplx* s1, cplx* s2,
+                             double* energy, std::size_t begin,
+                             std::size_t end);
 
 }  // namespace ftfft::simd

@@ -185,6 +185,87 @@ void a_dft16(const cplx* in, std::size_t is, cplx* out) {
   leaf_dft<8>(in, is, out, w16);
 }
 
+// ------------------------------------------------------- column checksums
+
+// Hides a product from the compiler so the add it feeds stays a separate
+// rounding: this TU is built with -mfma, and GCC contracts a vector
+// multiply-add written with intrinsics as readily as a scalar one.
+inline __m256d uncontracted(__m256d v) {
+  __asm__("" : "+x"(v));
+  return v;
+}
+
+// Rows [r0, r0 + R) of the block folded into the accumulators of columns
+// [i, i + 4): one load/store of s1, s2 and energy per R rows, and every
+// column still sums its rows in t order with the reference's rounding
+// (cmul_nofma, a separate multiply before each add, hadd for |x|^2).
+template <std::size_t R, bool Weighted>
+void column_rows(const cplx* x, std::size_t cols, std::size_t r0,
+                 std::size_t first_row, const cplx* w, cplx* s1, cplx* s2,
+                 double* energy, std::size_t cv) {
+  V wt[R];
+  __m256d td[R];
+  for (std::size_t r = 0; r < R; ++r) {
+    if constexpr (Weighted) wt[r] = V::broadcast(w[r0 + r]);
+    td[r] = _mm256_set1_pd(static_cast<double>(first_row + r0 + r));
+  }
+  for (std::size_t i = 0; i < cv; i += 4) {
+    V a0 = V::load(s1 + i), a1 = V::load(s1 + i + 2);
+    V b0 = V::load(s2 + i), b1 = V::load(s2 + i + 2);
+    __m256d e = _mm256_loadu_pd(energy + i);
+    for (std::size_t r = 0; r < R; ++r) {
+      const cplx* row = x + (r0 + r) * cols + i;
+      const V x0 = V::load(row), x1 = V::load(row + 2);
+      V p0 = x0, p1 = x1;
+      if constexpr (Weighted) {
+        p0 = x0.cmul_nofma(wt[r]);
+        p1 = x1.cmul_nofma(wt[r]);
+      }
+      a0 = a0 + p0;
+      a1 = a1 + p1;
+      b0 = b0 + V{uncontracted(_mm256_mul_pd(p0.v, td[r]))};
+      b1 = b1 + V{uncontracted(_mm256_mul_pd(p1.v, td[r]))};
+      // [n0, n2, n1, n3] -> [n0, n1, n2, n3]
+      const __m256d h = _mm256_hadd_pd(_mm256_mul_pd(x0.v, x0.v),
+                                       _mm256_mul_pd(x1.v, x1.v));
+      e = _mm256_add_pd(e, _mm256_permute4x64_pd(h, 0xD8));
+    }
+    a0.store(s1 + i);
+    a1.store(s1 + i + 2);
+    b0.store(s2 + i);
+    b1.store(s2 + i + 2);
+    _mm256_storeu_pd(energy + i, e);
+  }
+}
+
+template <bool Weighted>
+void column_blocks(const cplx* x, std::size_t rows, std::size_t cols,
+                   std::size_t first_row, const cplx* w, cplx* s1, cplx* s2,
+                   double* energy, std::size_t cv) {
+  constexpr std::size_t kRows = 4;
+  std::size_t r = 0;
+  for (; r + kRows <= rows; r += kRows) {
+    column_rows<kRows, Weighted>(x, cols, r, first_row, w, s1, s2, energy,
+                                 cv);
+  }
+  for (; r < rows; ++r) {
+    column_rows<1, Weighted>(x, cols, r, first_row, w, s1, s2, energy, cv);
+  }
+}
+
+void a_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
+                        std::size_t first_row, const cplx* w, cplx* s1,
+                        cplx* s2, double* energy) {
+  const std::size_t cv = cols & ~std::size_t{3};
+  if (w != nullptr) {
+    column_blocks<true>(x, rows, cols, first_row, w, s1, s2, energy, cv);
+  } else {
+    column_blocks<false>(x, rows, cols, first_row, w, s1, s2, energy, cv);
+  }
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, cv,
+                          cols);
+}
+
 // -------------------------------------------------------------- tables
 
 void a_radix4_stage(cplx* data, std::size_t n, std::size_t len,
@@ -213,6 +294,8 @@ constexpr FftKernels kAvx2Fft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_twiddle_multiply<V>,
+    impl::k_first_mismatch<V>,
 };
 
 constexpr ChecksumKernels kAvx2Checksum = {
@@ -220,12 +303,12 @@ constexpr ChecksumKernels kAvx2Checksum = {
     impl::k_dual_weighted_sum<V>,
     impl::k_energy<V>,
     impl::k_robust_energy<V>,
-    impl::k_dual_plain_sum_robust<V>,
     impl::k_weighted_sum_energy<V>,
     impl::k_dual_weighted_sum_energy<V>,
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,
     impl::k_syndrome_dot<V>,
+    a_column_checksums,
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "checksum/dot.hpp"
 #include "common/complex.hpp"
@@ -271,46 +272,60 @@ double k_robust_energy(const cplx* x, std::size_t n) {
   return k_energy_excluding<V>(x, n, ti);
 }
 
+/// The accumulator registers of weighted_sum_energy: sums and energies of
+/// element pairs [j, j+W) and [j+W, j+2W) go to separate registers. Every
+/// kernel that fuses this reduction into another pass (the staging copy,
+/// the DMR twiddle) feeds the same registers in the same order, so its sum
+/// is bit-identical to the separate sweep on the same backend.
 template <class V>
-checksum::DualSumRobust k_dual_plain_sum_robust(const cplx* x,
-                                                std::size_t n) {
-  checksum::DualSumRobust out;
-  if (n == 0) return out;
-  out.sums = k_dual_weighted_sum<V>(nullptr, x, n);
-  std::size_t ti;
-  k_find_max_norm2<V>(x, n, out.max_norm2, ti);
-  out.energy = k_energy_excluding<V>(x, n, ti);
-  return out;
-}
+struct SumEnergyAcc {
+  V s0 = V::zero(), s1 = V::zero();
+  V e0 = V::zero(), e1 = V::zero();
+
+  void add2(V w0, V x0, V w1, V x1) {
+    s0 = s0 + w0.cmul(x0);
+    s1 = s1 + w1.cmul(x1);
+    e0 = x0.fmadd_elem(x0, e0);
+    e1 = x1.fmadd_elem(x1, e1);
+  }
+
+  /// Feeds x[j, end) in pairs of vectors; end - j must be a multiple of
+  /// 2 * width.
+  void feed(const cplx* w, const cplx* x, std::size_t j, std::size_t end) {
+    constexpr std::size_t W = V::width;
+    for (; j < end; j += 2 * W) {
+      add2(V::load(w + j), V::load(x + j), V::load(w + j + W),
+           V::load(x + j + W));
+    }
+  }
+
+  /// Feeds x[j, n) (the caller fed [0, j) in pairs of vectors) and reduces.
+  checksum::SumEnergy finish(const cplx* w, const cplx* x, std::size_t j,
+                             std::size_t n) {
+    constexpr std::size_t W = V::width;
+    const std::size_t pairs = j + (n - j) / (2 * W) * (2 * W);
+    feed(w, x, j, pairs);
+    j = pairs;
+    for (; j + W <= n; j += W) {
+      const V v0 = V::load(x + j);
+      s0 = s0 + V::load(w + j).cmul(v0);
+      e0 = v0.fmadd_elem(v0, e0);
+    }
+    checksum::SumEnergy out;
+    out.sum = (s0 + s1).hsum();
+    out.energy = (e0 + e1).hsum_slots();
+    for (; j < n; ++j) {
+      out.sum += cmul(w[j], x[j]);
+      out.energy += norm2(x[j]);
+    }
+    return out;
+  }
+};
 
 template <class V>
 checksum::SumEnergy k_weighted_sum_energy(const cplx* w, const cplx* x,
                                           std::size_t n) {
-  constexpr std::size_t W = V::width;
-  V s0 = V::zero(), s1 = V::zero();
-  V e0 = V::zero(), e1 = V::zero();
-  std::size_t j = 0;
-  for (; j + 2 * W <= n; j += 2 * W) {
-    const V v0 = V::load(x + j);
-    const V v1 = V::load(x + j + W);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    s1 = s1 + V::load(w + j + W).cmul(v1);
-    e0 = v0.fmadd_elem(v0, e0);
-    e1 = v1.fmadd_elem(v1, e1);
-  }
-  for (; j + W <= n; j += W) {
-    const V v0 = V::load(x + j);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    e0 = v0.fmadd_elem(v0, e0);
-  }
-  checksum::SumEnergy out;
-  out.sum = (s0 + s1).hsum();
-  out.energy = (e0 + e1).hsum_slots();
-  for (; j < n; ++j) {
-    out.sum += cmul(w[j], x[j]);
-    out.energy += norm2(x[j]);
-  }
-  return out;
+  return SumEnergyAcc<V>{}.finish(w, x, 0, n);
 }
 
 template <class V>
@@ -729,33 +744,18 @@ void k_copy_weighted_sum_energy(cplx* dst, const cplx* src, const cplx* w,
     for (; j < n; ++j) dst[j] = src[j];
     return;
   }
-  V s0 = V::zero(), s1 = V::zero();
-  V e0 = V::zero(), e1 = V::zero();
+  SumEnergyAcc<V> acc;
   for (; j + 2 * W <= n; j += 2 * W) {
     const V v0 = V::load(src + j);
     const V v1 = V::load(src + j + W);
     v0.store(dst + j);
     v1.store(dst + j + W);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    s1 = s1 + V::load(w + j + W).cmul(v1);
-    e0 = v0.fmadd_elem(v0, e0);
-    e1 = v1.fmadd_elem(v1, e1);
+    acc.add2(V::load(w + j), v0, V::load(w + j + W), v1);
   }
-  for (; j + W <= n; j += W) {
-    const V v0 = V::load(src + j);
-    v0.store(dst + j);
-    s0 = s0 + V::load(w + j).cmul(v0);
-    e0 = v0.fmadd_elem(v0, e0);
-  }
-  cplx acc = (s0 + s1).hsum();
-  double eacc = (e0 + e1).hsum_slots();
-  for (; j < n; ++j) {
-    dst[j] = src[j];
-    acc += cmul(w[j], src[j]);
-    eacc += norm2(src[j]);
-  }
-  *sum = acc;
-  *energy = eacc;
+  for (std::size_t t = j; t < n; ++t) dst[t] = src[t];
+  const checksum::SumEnergy se = acc.finish(w, dst, j, n);
+  *sum = se.sum;
+  *energy = se.energy;
 }
 
 // ================================= real-transform post-pass (see kernels.hpp)
@@ -1218,6 +1218,127 @@ void k_combine(cplx* out, std::size_t os, std::size_t m, std::size_t r,
     }
   }
   scalar_combine_columns(out, os, m, r, tw, 0, m);
+}
+
+// ======================================================= DMR twiddle stage
+//
+// The recurrence of abft::twiddle_multiply (see abft/dmr.hpp): every block
+// of kTwiddleResync elements restarts from the exact twiddle, then four
+// interleaved recurrences (lanes i mod 4) step by base^4. A vector backend
+// holds the four lanes in 4/W registers and runs exactly the scalar
+// operation sequence: block seeds and ragged-end products come from the
+// contraction-pinned scalar TU, and every multiply in the loop is
+// cmul_nofma. The products are therefore bitwise identical on every
+// backend.
+
+constexpr std::size_t kTwiddleResync = 64;
+
+/// Products of B resync blocks starting at i0, interleaved so that the B
+/// independent recurrence chains overlap their multiply latencies; each
+/// block's arithmetic is unchanged. Only the last block may be partial; its
+/// ragged end (fewer than four elements) goes through the scalar tail, and
+/// the return value is where that tail starts.
+/// Unit: stride == 1 (plain loads; dst may equal src).
+template <class V, bool Unit, std::size_t B>
+std::size_t twiddle_blocks(const cplx* src, std::size_t stride, cplx* dst,
+                           std::size_t i0, std::size_t len, std::size_t n,
+                           std::size_t step, cplx scale, cplx base, V base4) {
+  constexpr std::size_t W = V::width;
+  constexpr std::size_t kVecs = 4 / W;
+  const std::size_t rest = len - i0 - (B - 1) * kTwiddleResync;
+  const std::size_t last = rest < kTwiddleResync ? rest : kTwiddleResync;
+  const std::size_t rows = last & ~std::size_t{3};
+  V w[B][kVecs];
+  for (std::size_t b = 0; b < B; ++b) {
+    cplx lanes[4];
+    scalar_twiddle_seeds(n, i0 + b * kTwiddleResync, step, scale, base, lanes);
+    for (std::size_t v = 0; v < kVecs; ++v) w[b][v] = V::load(lanes + v * W);
+  }
+  for (std::size_t j = 0; j < rows; j += 4) {
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const std::size_t e = i0 + b * kTwiddleResync + j + v * W;
+        const V x =
+            Unit ? V::load(src + e) : V::gather(src + e * stride, stride);
+        // w * x rounds exactly like x * w (the same two products per
+        // slot) and shares its one lane swap of w with the step below.
+        w[b][v].cmul_nofma(x).store(dst + e);
+        w[b][v] = w[b][v].cmul_nofma(base4);
+      }
+    }
+  }
+  const std::size_t end = i0 + (B - 1) * kTwiddleResync + rows;
+  if (rows < last) {
+    cplx lanes[4];
+    for (std::size_t v = 0; v < kVecs; ++v) w[B - 1][v].store(lanes + v * W);
+    scalar_twiddle_tail(src + end * stride, stride, dst + end, last - rows,
+                        lanes);
+  }
+  return end;
+}
+
+/// Sum: also feed the products into a SumEnergyAcc against cw, in element
+/// order, while they are still in L1.
+template <class V, bool Unit, bool Sum>
+void k_twiddle_multiply_t(const cplx* src, std::size_t stride, cplx* dst,
+                          std::size_t len, std::size_t n, std::size_t step,
+                          cplx scale, const cplx* cw,
+                          checksum::SumEnergy* cs) {
+  static_assert(4 % (2 * V::width) == 0,
+                "a group of four feeds the reduction in whole pairs");
+  constexpr std::size_t R = kTwiddleResync;
+  const cplx base = omega(n, step);
+  const V base4 =
+      V::broadcast(omega(n, 4 * static_cast<std::uint64_t>(step)));
+  SumEnergyAcc<V> acc;
+  std::size_t i0 = 0, end = 0;
+  for (; i0 + 2 * R <= len; i0 += 2 * R) {
+    end = twiddle_blocks<V, Unit, 2>(src, stride, dst, i0, len, n, step,
+                                     scale, base, base4);
+    if constexpr (Sum) acc.feed(cw, dst, i0, end);
+  }
+  for (; i0 < len; i0 += R) {
+    end = twiddle_blocks<V, Unit, 1>(src, stride, dst, i0, len, n, step,
+                                     scale, base, base4);
+    if constexpr (Sum) acc.feed(cw, dst, i0, end);
+  }
+  if constexpr (Sum) *cs = acc.finish(cw, dst, end, len);
+}
+
+template <class V>
+void k_twiddle_multiply(const cplx* src, std::size_t stride, cplx* dst,
+                        std::size_t len, std::size_t n, std::size_t step,
+                        cplx scale, const cplx* cw, checksum::SumEnergy* cs) {
+  if (stride == 1) {
+    return cw != nullptr
+               ? k_twiddle_multiply_t<V, true, true>(src, 1, dst, len, n,
+                                                     step, scale, cw, cs)
+               : k_twiddle_multiply_t<V, true, false>(src, 1, dst, len, n,
+                                                      step, scale, cw, cs);
+  }
+  return cw != nullptr
+             ? k_twiddle_multiply_t<V, false, true>(src, stride, dst, len, n,
+                                                    step, scale, cw, cs)
+             : k_twiddle_multiply_t<V, false, false>(src, stride, dst, len,
+                                                     n, step, scale, cw, cs);
+}
+
+/// First i with a[i] != b[i] under complex != (a NaN slot mismatches,
+/// -0 == +0), or n.
+template <class V>
+std::size_t k_first_mismatch(const cplx* a, const cplx* b, std::size_t n) {
+  constexpr std::size_t W = V::width;
+  std::size_t i = 0;
+  for (; i + 2 * W <= n; i += 2 * W) {
+    if (V::any_ne(V::load(a + i), V::load(b + i)) |
+        V::any_ne(V::load(a + i + W), V::load(b + i + W))) {
+      break;
+    }
+  }
+  for (; i < n; ++i) {
+    if (a[i] != b[i]) return i;
+  }
+  return n;
 }
 
 }  // namespace ftfft::simd::impl

@@ -34,6 +34,15 @@ void n_radix4_first_stage_from(cplx* dst, const cplx* src, std::size_t n,
   impl::k_radix4_first_stage_from_w1<V>(dst, src, n, inverse);
 }
 
+// Width 1 gives the column-parallel checksums nothing to fan out over; the
+// contraction-pinned reference keeps them bitwise equal to scalar.
+void n_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
+                        std::size_t first_row, const cplx* w, cplx* s1,
+                        cplx* s2, double* energy) {
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, 0,
+                          cols);
+}
+
 constexpr FftKernels kNeonFft = {
     n_radix2_stage0,
     n_radix2_stage0_from,
@@ -54,6 +63,8 @@ constexpr FftKernels kNeonFft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_twiddle_multiply<V>,
+    impl::k_first_mismatch<V>,
 };
 
 constexpr ChecksumKernels kNeonChecksum = {
@@ -61,12 +72,12 @@ constexpr ChecksumKernels kNeonChecksum = {
     impl::k_dual_weighted_sum<V>,
     impl::k_energy<V>,
     impl::k_robust_energy<V>,
-    impl::k_dual_plain_sum_robust<V>,
     impl::k_weighted_sum_energy<V>,
     impl::k_dual_weighted_sum_energy<V>,
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,
     impl::k_syndrome_dot<V>,
+    n_column_checksums,
 };
 
 }  // namespace

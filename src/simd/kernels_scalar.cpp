@@ -143,9 +143,44 @@ void scalar_c2r_prepare_range(cplx* dst, const cplx* src, std::size_t nc,
   }
 }
 
+void scalar_twiddle_seeds(std::size_t n, std::size_t i0, std::size_t step,
+                          cplx scale, cplx base, cplx* w4) {
+  w4[0] = cmul(scale, omega(n, static_cast<std::uint64_t>(i0) * step));
+  for (int j = 1; j < 4; ++j) w4[j] = cmul(w4[j - 1], base);
+}
+
+void scalar_twiddle_tail(const cplx* src, std::size_t stride, cplx* dst,
+                         std::size_t count, const cplx* w) {
+  for (std::size_t j = 0; j < count; ++j) dst[j] = cmul(src[j * stride], w[j]);
+}
+
+void scalar_column_checksums(const cplx* x, std::size_t rows,
+                             std::size_t cols, std::size_t first_row,
+                             const cplx* w, cplx* s1, cplx* s2,
+                             double* energy, std::size_t begin,
+                             std::size_t end) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double td = static_cast<double>(first_row + r);
+    const cplx* row = x + r * cols;
+    for (std::size_t i = begin; i < end; ++i) {
+      const cplx p = w != nullptr ? cmul(w[r], row[i]) : row[i];
+      s1[i] += p;
+      s2[i] += td * p;
+      energy[i] += norm2(row[i]);
+    }
+  }
+}
+
 namespace {
 
 using V = ScalarVec;
+
+void s_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
+                        std::size_t first_row, const cplx* w, cplx* s1,
+                        cplx* s2, double* energy) {
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, 0,
+                          cols);
+}
 
 void s_radix2_stage0(cplx* data, std::size_t n) {
   scalar_radix2_stage0_range(data, 0, n);
@@ -189,6 +224,8 @@ constexpr FftKernels kScalarFft = {
     impl::k_c2r_prepare_cs<V>,
     impl::k_r2c_last_stage4<V>,
     impl::k_r2c_last_stage16<V>,
+    impl::k_twiddle_multiply<V>,
+    impl::k_first_mismatch<V>,
 };
 
 constexpr ChecksumKernels kScalarChecksum = {
@@ -196,12 +233,12 @@ constexpr ChecksumKernels kScalarChecksum = {
     impl::k_dual_weighted_sum<V>,
     impl::k_energy<V>,
     impl::k_robust_energy<V>,
-    impl::k_dual_plain_sum_robust<V>,
     impl::k_weighted_sum_energy<V>,
     impl::k_dual_weighted_sum_energy<V>,
     impl::k_omega3_weighted_sum<V>,
     impl::k_copy_dual_sum<V>,
     impl::k_syndrome_dot<V>,
+    s_column_checksums,
 };
 
 }  // namespace

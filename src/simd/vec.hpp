@@ -4,7 +4,8 @@
 // re,im,re,im,...) into one register and exposes the small op set the
 // kernel templates in kernels_impl.hpp need: loads/stores, add/sub, complex
 // multiply, +/-i rotation, elementwise (real) FMA for energy and
-// index-weighted sums, and the compare/blend pair the argmax trackers use.
+// index-weighted sums, the compare/blend pair the argmax trackers use, and
+// the lane inequality test of the DMR compare.
 //
 // Backends:
 //   ScalarVec - width 1, plain std::complex arithmetic. This is the
@@ -116,6 +117,9 @@ struct ScalarVec {
     return {cplx{mask.v.real() != 0.0 ? b.v.real() : a.v.real(),
                  mask.v.imag() != 0.0 ? b.v.imag() : a.v.imag()}};
   }
+  /// True when some lane differs under complex != (NaN never equals,
+  /// -0 == +0).
+  static bool any_ne(ScalarVec a, ScalarVec b) noexcept { return a.v != b.v; }
 };
 
 // ------------------------------------------------------------------- AVX2
@@ -222,6 +226,9 @@ struct Avx2Vec {
   static Avx2Vec blend(Avx2Vec a, Avx2Vec b, Avx2Vec mask) noexcept {
     return {_mm256_blendv_pd(a.v, b.v, mask.v)};
   }
+  static bool any_ne(Avx2Vec a, Avx2Vec b) noexcept {
+    return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_NEQ_UQ)) != 0;
+  }
 };
 
 #endif  // FTFFT_VEC_HAVE_AVX2
@@ -316,6 +323,10 @@ struct NeonVec {
   }
   static NeonVec blend(NeonVec a, NeonVec b, NeonVec mask) noexcept {
     return {vbslq_f64(vreinterpretq_u64_f64(mask.v), b.v, a.v)};
+  }
+  static bool any_ne(NeonVec a, NeonVec b) noexcept {
+    const uint64x2_t eq = vceqq_f64(a.v, b.v);
+    return (vgetq_lane_u64(eq, 0) & vgetq_lane_u64(eq, 1)) != ~0ULL;
   }
 };
 

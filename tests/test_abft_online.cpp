@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "abft/options.hpp"
+#include "abft/protection_plan.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dft/reference_dft.hpp"
@@ -285,6 +288,30 @@ TEST(OnlineAbft, StatsReportThresholds) {
   EXPECT_GT(stats.eta_mem, 0.0);
 }
 
+TEST(OnlineAbft, IntermediateRepairReachesTheBackupOfALaterOutputFault) {
+  // Column 5 takes an intermediate fault (row 10), repaired by the column
+  // MCV, and then a final-output fault (row 20), recovered by recomputing
+  // the column from the parked backup. The backup was parked after the
+  // intermediate fault, so the column MCV must have repaired it as well.
+  const std::size_t n = 1 << 12;  // m = k = 64
+  auto x = random_vector(n, InputDistribution::kUniform, 61);
+  const auto pristine = x;
+  Injector inj;
+  inj.schedule(FaultSpec::memory_set(Phase::kIntermediate, 0, 10 * 64 + 5,
+                                     {50.0, -30.0}));
+  inj.schedule(FaultSpec::memory_set(Phase::kFinalOutput, 0, 20 * 64 + 5,
+                                     {40.0, 10.0}));
+  Options opts = Options::online_opt(true);
+  opts.injector = &inj;
+  std::vector<cplx> out(n);
+  Stats stats;
+  abft::online_transform(x.data(), out.data(), n, opts, stats);
+  EXPECT_EQ(inj.fired_count(), 2u);
+  EXPECT_EQ(stats.mem_errors_detected, 2u);
+  EXPECT_EQ(stats.mem_errors_corrected, 2u);
+  expect_matches_reference(pristine, out);
+}
+
 TEST(OnlineAbft, RejectsTinySizes) {
   std::vector<cplx> x(2), out(2);
   Stats stats;
@@ -292,6 +319,127 @@ TEST(OnlineAbft, RejectsTinySizes) {
                                       Options::online_opt(false), stats),
                std::invalid_argument);
 }
+
+}  // namespace
+}  // namespace ftfft
+
+namespace ftfft {
+namespace {
+
+// The second layer runs in tiles of plan.layer2_cols() staged columns.
+// Faults on the first and last column of a tile, and on the last column
+// overall, must be handled with the same counters as anywhere else.
+struct TileCase {
+  std::size_t n;
+  std::size_t bins;  // reference bins checked; 0 = the whole spectrum
+};
+
+class OnlineTile : public ::testing::TestWithParam<TileCase> {
+ protected:
+  void SetUp() override {
+    n_ = GetParam().n;
+    const auto plan = abft::ProtectionPlan::get(n_, abft::Scheme::kOnline,
+                                                Options::online_opt(true));
+    m_ = plan->m();
+    k_ = plan->k();
+    s_ = plan->layer2_cols();
+    x_ = random_vector(n_, InputDistribution::kUniform, 950 + n_);
+    clean_.resize(n_);
+    auto in = x_;
+    Stats stats;
+    abft::online_transform(in.data(), clean_.data(), n_,
+                           Options::online_opt(true), stats);
+    EXPECT_EQ(stats.comp_errors_detected, 0u);
+    EXPECT_EQ(stats.mem_errors_detected, 0u);
+    EXPECT_EQ(stats.dmr_mismatches, 0u);
+  }
+
+  // Layer-2 columns at tile edges: first and last column of the second
+  // tile (or the first, when there is only one) and the last column.
+  std::vector<std::size_t> edge_columns() const {
+    const std::size_t t0 = m_ > s_ ? s_ : 0;
+    return {t0, std::min(t0 + s_, m_) - 1, m_ - 1};
+  }
+
+  Stats run_with(Injector& inj, std::vector<cplx>& y) const {
+    y.assign(n_, cplx{0.0, 0.0});
+    auto in = x_;
+    Options o = Options::online_opt(true);
+    o.injector = &inj;
+    Stats stats;
+    abft::online_transform(in.data(), y.data(), n_, o, stats);
+    EXPECT_EQ(inj.fired_count(), 1u);
+    return stats;
+  }
+
+  void expect_close_to_clean(const std::vector<cplx>& y) const {
+    const double tol = 1e-10 * static_cast<double>(n_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      ASSERT_NEAR(std::abs(y[j] - clean_[j]), 0.0, tol) << "j=" << j;
+    }
+  }
+
+  std::size_t n_ = 0, m_ = 0, k_ = 0, s_ = 0;
+  std::vector<cplx> x_, clean_;
+};
+
+TEST_P(OnlineTile, FaultFreeMatchesReference) {
+  const double tol = 1e-10 * static_cast<double>(n_);
+  const std::size_t bins = GetParam().bins;
+  if (bins == 0) {
+    const auto want = dft::reference_dft(x_);
+    for (std::size_t j = 0; j < n_; ++j) {
+      ASSERT_NEAR(std::abs(clean_[j] - want[j]), 0.0, tol) << "j=" << j;
+    }
+    return;
+  }
+  // Large n: sampled bins of the O(n^2) oracle, spread over every column.
+  for (std::size_t b = 0; b < bins; ++b) {
+    const std::size_t j = (b * (n_ / bins) + b * 7) % n_;
+    const cplx want = dft::reference_dft_element(x_.data(), n_, j);
+    ASSERT_NEAR(std::abs(clean_[j] - want), 0.0, tol) << "j=" << j;
+  }
+}
+
+TEST_P(OnlineTile, IntermediateMemoryFaultAtTileEdgeCorrected) {
+  for (const std::size_t col : edge_columns()) {
+    Injector inj;
+    // Row k/2 of layer-2 column col.
+    inj.schedule(FaultSpec::memory_set(Phase::kIntermediate, 0,
+                                       (k_ / 2) * m_ + col, {25.0, -8.0}));
+    std::vector<cplx> y;
+    const Stats stats = run_with(inj, y);
+    expect_close_to_clean(y);
+    EXPECT_EQ(stats.mem_errors_detected, 1u) << "col=" << col;
+    EXPECT_EQ(stats.mem_errors_corrected, 1u) << "col=" << col;
+    EXPECT_EQ(stats.comp_errors_detected, 0u) << "col=" << col;
+    EXPECT_EQ(stats.sub_fft_retries, 0u) << "col=" << col;
+  }
+}
+
+TEST_P(OnlineTile, TwiddleDmrFaultAtTileEdgeVotedOut) {
+  for (const std::size_t col : edge_columns()) {
+    for (const std::size_t row : {std::size_t{0}, k_ - 1}) {
+      Injector inj;
+      inj.schedule(FaultSpec::computational(Phase::kTwiddleDmrCopy, col, row,
+                                            {3.0, -2.0}));
+      std::vector<cplx> y;
+      const Stats stats = run_with(inj, y);
+      expect_close_to_clean(y);
+      EXPECT_EQ(stats.dmr_mismatches, 1u) << "col=" << col << " row=" << row;
+      EXPECT_EQ(stats.comp_errors_detected, 0u) << "col=" << col;
+      EXPECT_EQ(stats.mem_errors_detected, 0u) << "col=" << col;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, OnlineTile,
+                         ::testing::Values(TileCase{200, 0},
+                                           TileCase{1 << 13, 512},
+                                           TileCase{1 << 17, 64}),
+                         [](const ::testing::TestParamInfo<TileCase>& pi) {
+                           return "n" + std::to_string(pi.param.n);
+                         });
 
 }  // namespace
 }  // namespace ftfft

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "checksum/dot.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
+#include "simd/dispatch.hpp"
 
 namespace ftfft {
 namespace {
@@ -147,6 +150,102 @@ TEST(DmrTwiddle, WrongUnitDoesNotFire) {
       x.data(), 1, out.data(), len, n, step, /*unit=*/2, &inj);
   EXPECT_EQ(fixed, 0u);
   EXPECT_EQ(inj.pending_count(), 1u);
+}
+
+// Every compiled-in backend, the active one restored afterwards.
+template <class F>
+void on_every_backend(F&& check) {
+  const simd::Backend prev = simd::active_backend();
+  for (const simd::Backend b :
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon}) {
+    if (!simd::set_backend(b)) continue;
+    SCOPED_TRACE(simd::backend_name(b));
+    check();
+  }
+  simd::set_backend(prev);
+}
+
+TEST(DmrTwiddle, NanInputMismatchesItselfAndStaysNan) {
+  // Both copies see the same NaN, but NaN != NaN: the compare flags the
+  // element, the vote falls through to the third evaluation, and the NaN
+  // survives. Every finite element is untouched.
+  const std::size_t len = 70, n = 4096, step = 3;
+  auto x = random_vector(len, InputDistribution::kUniform, 7);
+  const auto clean_x = x;
+  x[0] = cplx{std::nan(""), 0.0};
+  x[33] = cplx{1.0, std::nan("")};
+  x[69] = cplx{std::nan(""), std::nan("")};
+  on_every_backend([&] {
+    std::vector<cplx> out(len), clean(len);
+    EXPECT_EQ(abft::dmr_twiddle_multiply(x.data(), 1, out.data(), len, n,
+                                         step, 0, nullptr),
+              3u);
+    abft::dmr_twiddle_multiply(clean_x.data(), 1, clean.data(), len, n, step,
+                               0, nullptr);
+    for (std::size_t i = 0; i < len; ++i) {
+      if (i == 0 || i == 33 || i == 69) {
+        EXPECT_TRUE(std::isnan(out[i].real()) || std::isnan(out[i].imag()))
+            << i;
+      } else {
+        EXPECT_EQ(out[i], clean[i]) << i;
+      }
+    }
+  });
+}
+
+TEST(DmrTwiddle, SignedZeroInputsCompareEqual) {
+  // -0 and +0 inputs give products whose zero signs follow the twiddle;
+  // both copies round alike and -0 == +0 anyway, so nothing is voted.
+  const std::size_t len = 67, n = 1024, step = 5;
+  std::vector<cplx> x(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    x[i] = cplx{(i % 2) ? -0.0 : 0.0, (i % 3) ? 0.0 : -0.0};
+  }
+  on_every_backend([&] {
+    std::vector<cplx> out(len);
+    EXPECT_EQ(abft::dmr_twiddle_multiply(x.data(), 1, out.data(), len, n,
+                                         step, 0, nullptr),
+              0u);
+    for (const cplx v : out) EXPECT_EQ(std::abs(v), 0.0);
+  });
+}
+
+TEST(DmrTwiddle, ChecksumFollowsTheVotedResult) {
+  // The first copy accumulates the checksum as it computes. When the vote
+  // replaces an element with the table-exact third evaluation, which can
+  // differ from the recurrence by an ulp, the returned checksum must be the
+  // separate sweep over the voted output, bit for bit.
+  // A unit impulse at an element whose recurrence twiddle is inexact makes
+  // that ulp the whole checksum instead of noise under the other terms.
+  const std::size_t len = 300, n = 1 << 16, step = 17;
+  const std::vector<cplx> ones(len, cplx{1.0, 0.0});
+  std::vector<cplx> clean(len);
+  abft::twiddle_multiply(ones.data(), 1, clean.data(), len, n, step);
+  std::size_t hit = len;
+  for (std::size_t i = 0; i < len && hit == len; ++i) {
+    if (clean[i] != omega(n, i * step)) hit = i;
+  }
+  ASSERT_LT(hit, len) << "no element where the recurrence is inexact";
+  std::vector<cplx> x(len, cplx{0.0, 0.0});
+  x[hit] = cplx{1.0, 0.0};
+  const auto cw = random_vector(len, InputDistribution::kUniform, 9);
+  for (const bool faulty : {false, true}) {
+    Injector inj;
+    if (faulty) {
+      inj.schedule(FaultSpec::computational(Phase::kTwiddleDmrCopy, 2, hit,
+                                            {5.0, -1.0}));
+    }
+    std::vector<cplx> out(len);
+    checksum::SumEnergy cs;
+    EXPECT_EQ(abft::dmr_twiddle_multiply(x.data(), 1, out.data(), len, n, step,
+                                         2, &inj, cplx{1.0, 0.0}, cw.data(),
+                                         &cs),
+              faulty ? 1u : 0u);
+    EXPECT_EQ(out[hit] != clean[hit], faulty);  // the vote took the third
+    const auto want = checksum::weighted_sum_energy(cw.data(), out.data(), len);
+    EXPECT_EQ(cs.sum, want.sum) << faulty;
+    EXPECT_EQ(cs.energy, want.energy) << faulty;
+  }
 }
 
 TEST(DmrTwiddle, LongRunStaysAccurate) {

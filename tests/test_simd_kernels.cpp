@@ -5,6 +5,7 @@
 // exactly the same faults no matter which backend runs the math.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -14,6 +15,7 @@
 #include "abft/online.hpp"
 #include "abft/options.hpp"
 #include "checksum/dot.hpp"
+#include "checksum/memory_checksum.hpp"
 #include "checksum/weights.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
@@ -129,11 +131,6 @@ TEST(SimdChecksum, EnergyAndRobustVariantsMatchNaive) {
     for (std::size_t j = 0; j < n; ++j) {
       if (j != ti) e_rob += norm2(x[j]);
     }
-    checksum::DualSum sums;
-    for (std::size_t j = 0; j < n; ++j) {
-      sums.plain += x[j];
-      sums.indexed += static_cast<double>(j) * x[j];
-    }
     for (Backend b : available_backends()) {
       ASSERT_TRUE(simd::set_backend(b));
       const char* name = simd::backend_name(b);
@@ -142,17 +139,6 @@ TEST(SimdChecksum, EnergyAndRobustVariantsMatchNaive) {
           << "n=" << n << " backend=" << name;
       EXPECT_LT(std::abs(checksum::robust_energy(x.data(), n) - e_rob),
                 1e-11 * (1.0 + e_rob))
-          << "n=" << n << " backend=" << name;
-      const auto r = checksum::dual_plain_sum_robust(x.data(), n);
-      EXPECT_LT(std::abs(r.sums.plain - sums.plain),
-                1e-11 * (1.0 + std::abs(sums.plain)))
-          << "n=" << n << " backend=" << name;
-      EXPECT_LT(std::abs(r.sums.indexed - sums.indexed),
-                1e-11 * (1.0 + std::abs(sums.indexed)))
-          << "n=" << n << " backend=" << name;
-      EXPECT_DOUBLE_EQ(r.max_norm2, n == 0 ? 0.0 : top < 0.0 ? 0.0 : top)
-          << "n=" << n << " backend=" << name;
-      EXPECT_LT(std::abs(r.energy - e_rob), 1e-11 * (1.0 + e_rob))
           << "n=" << n << " backend=" << name;
     }
   }
@@ -206,7 +192,6 @@ TEST(SimdChecksum, OddStridesTakeTheScalarPathOnEveryBackend) {
       EXPECT_LT(std::abs(checksum::energy(x.data(), n, stride) - e),
                 1e-11 * (1.0 + e))
           << "stride=" << stride;
-      const auto r = checksum::dual_plain_sum_robust(x.data(), n, stride);
       double top = -1.0;
       std::size_t ti = 0;
       for (std::size_t j = 0; j < n; ++j) {
@@ -219,7 +204,8 @@ TEST(SimdChecksum, OddStridesTakeTheScalarPathOnEveryBackend) {
       for (std::size_t j = 0; j < n; ++j) {
         if (j != ti) e_rob += norm2(x[j * stride]);
       }
-      EXPECT_LT(std::abs(r.energy - e_rob), 1e-11 * (1.0 + e_rob))
+      EXPECT_LT(std::abs(checksum::robust_energy(x.data(), n, stride) - e_rob),
+                1e-11 * (1.0 + e_rob))
           << "stride=" << stride;
     }
   }
@@ -235,6 +221,180 @@ TEST(SimdChecksum, BackendResultsAreDeterministic) {
     const auto c = checksum::dual_weighted_sum(nullptr, x.data(), n);
     EXPECT_EQ(std::memcmp(&a, &c, sizeof(a)), 0)
         << simd::backend_name(b) << " not bit-stable across calls";
+  }
+}
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(SimdChecksum, ColumnChecksumsBitIdenticalToScalarOnEveryBackend) {
+  BackendGuard guard;
+  // Columns around the AVX2 body's four-column step, rows around its
+  // four-row fold, with and without weights.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {3, 5}, {4, 4}, {5, 7}, {9, 13}, {16, 64}, {64, 65}, {33, 2048}};
+  for (const auto& [rows, cols] : shapes) {
+    auto x = random_vector(rows * cols, InputDistribution::kNormal,
+                           700 + rows * cols);
+    x[0] = cplx{-0.0, 0.0};  // signed zeros must round like the reference
+    auto w = random_vector(rows, InputDistribution::kUniform, 701 + rows);
+    for (const cplx* weights : {static_cast<const cplx*>(nullptr),
+                                static_cast<const cplx*>(w.data())}) {
+      std::vector<cplx> rs1, rs2, s1, s2;
+      std::vector<double> re, e;
+      std::vector<checksum::SyndromeSet> syn;
+      ASSERT_TRUE(simd::set_backend(Backend::kScalar));
+      checksum::input_cmcg(x.data(), rows, cols, weights, 0, rs1, rs2, re,
+                           syn);
+      for (Backend b : available_backends()) {
+        ASSERT_TRUE(simd::set_backend(b));
+        checksum::input_cmcg(x.data(), rows, cols, weights, 0, s1, s2, e,
+                             syn);
+        EXPECT_TRUE(same_bits(s1, rs1) && same_bits(s2, rs2) &&
+                    same_bits(e, re))
+            << rows << "x" << cols << " weights=" << (weights != nullptr)
+            << " backend=" << simd::backend_name(b);
+        // Row blocks folded one after another, each carrying its first row
+        // index (the incremental column checksums of layer 1), give the
+        // same bits as one pass.
+        s1.assign(cols, cplx{0.0, 0.0});
+        s2.assign(cols, cplx{0.0, 0.0});
+        e.assign(cols, 0.0);
+        for (std::size_t r0 = 0; r0 < rows; r0 += 3) {
+          const std::size_t rc = std::min<std::size_t>(3, rows - r0);
+          checksum::accumulate_column_checksums(
+              x.data() + r0 * cols, rc, cols, r0,
+              weights != nullptr ? weights + r0 : nullptr, s1.data(),
+              s2.data(), e.data());
+        }
+        EXPECT_TRUE(same_bits(s1, rs1) && same_bits(s2, rs2) &&
+                    same_bits(e, re))
+            << rows << "x" << cols << " in row blocks, weights="
+            << (weights != nullptr) << " backend=" << simd::backend_name(b);
+      }
+      // The multi-error path folds the syndromes in its own scalar loop;
+      // its dual sums and energies are the same bits.
+      checksum::input_cmcg(x.data(), rows, cols, weights, 4, s1, s2, e, syn);
+      EXPECT_TRUE(same_bits(s1, rs1) && same_bits(s2, rs2) &&
+                  same_bits(e, re))
+          << rows << "x" << cols << " syndrome path";
+      EXPECT_EQ(syn.size(), cols);
+    }
+  }
+}
+
+// ------------------------------------------------------------ DMR twiddle
+
+std::vector<cplx> twiddle_on(Backend b, const std::vector<cplx>& src,
+                             std::size_t stride, std::size_t len,
+                             std::size_t n, std::size_t step, cplx scale) {
+  EXPECT_TRUE(simd::set_backend(b));
+  std::vector<cplx> out(len);
+  simd::fft_kernels().twiddle_multiply(src.data(), stride, out.data(), len, n,
+                                       step, scale, nullptr, nullptr);
+  return out;
+}
+
+TEST(SimdDmr, TwiddleBitIdenticalToScalarOnEveryBackend) {
+  BackendGuard guard;
+  const std::size_t n = 1 << 22;
+  for (const std::size_t len :
+       {1, 2, 3, 4, 5, 63, 64, 65, 127, 130, 2048}) {
+    for (const std::size_t stride : {1, 3, 129}) {
+      auto src = random_vector(len * stride, InputDistribution::kNormal,
+                               800 + len + stride);
+      for (const cplx scale : {cplx{1.0, 0.0}, omega(n, 987653)}) {
+        for (const std::size_t step : {1, 2047}) {
+          const auto want =
+              twiddle_on(Backend::kScalar, src, stride, len, n, step, scale);
+          for (Backend b : available_backends()) {
+            EXPECT_TRUE(same_bits(
+                twiddle_on(b, src, stride, len, n, step, scale), want))
+                << "len=" << len << " stride=" << stride << " step=" << step
+                << " scale=" << scale << " backend=" << simd::backend_name(b);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDmr, InPlaceTwiddleMatchesOutOfPlace) {
+  BackendGuard guard;
+  const std::size_t len = 259, n = 4096, step = 7;
+  const auto src = random_vector(len, InputDistribution::kUniform, 810);
+  for (Backend b : available_backends()) {
+    const auto want = twiddle_on(b, src, 1, len, n, step, cplx{1.0, 0.0});
+    auto data = src;
+    simd::fft_kernels().twiddle_multiply(data.data(), 1, data.data(), len, n,
+                                         step, cplx{1.0, 0.0}, nullptr,
+                                         nullptr);
+    EXPECT_TRUE(same_bits(data, want)) << simd::backend_name(b);
+  }
+}
+
+TEST(SimdDmr, FusedSumIsTheWeightedSumEnergyOfTheProducts) {
+  BackendGuard guard;
+  const std::size_t n = 1 << 20;
+  for (const std::size_t len : {1, 2, 3, 5, 7, 63, 65, 66, 67, 1000, 2048}) {
+    const auto src = random_vector(len * 2, InputDistribution::kNormal,
+                                   820 + len);
+    const auto cw = random_vector(len, InputDistribution::kUniform, 821);
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      for (const std::size_t stride : {1, 2}) {
+        std::vector<cplx> out(len);
+        checksum::SumEnergy fused;
+        simd::fft_kernels().twiddle_multiply(src.data(), stride, out.data(),
+                                             len, n, 5, cplx{1.0, 0.0},
+                                             cw.data(), &fused);
+        const auto want = checksum::weighted_sum_energy(cw.data(), out.data(),
+                                                        len);
+        EXPECT_EQ(std::memcmp(&fused, &want, sizeof(want)), 0)
+            << "len=" << len << " stride=" << stride
+            << " backend=" << simd::backend_name(b);
+      }
+    }
+  }
+}
+
+TEST(SimdDmr, FirstMismatchKeepsComplexNotEqualSemantics) {
+  BackendGuard guard;
+  const double nan = std::nan("");
+  for (Backend b : available_backends()) {
+    ASSERT_TRUE(simd::set_backend(b));
+    const auto& k = simd::fft_kernels();
+    for (const std::size_t n : {0, 1, 2, 3, 4, 5, 8, 9, 64}) {
+      std::vector<cplx> a = random_vector(n, InputDistribution::kNormal, 830);
+      std::vector<cplx> c = a;
+      EXPECT_EQ(k.first_mismatch(a.data(), c.data(), n), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // -0 == +0 in either slot: no mismatch.
+        auto z = a;
+        auto zc = a;
+        z[i] = cplx{-0.0, 0.0};
+        zc[i] = cplx{0.0, -0.0};
+        EXPECT_EQ(k.first_mismatch(z.data(), zc.data(), n), n)
+            << "n=" << n << " i=" << i << " " << simd::backend_name(b);
+        // A NaN never equals itself, in either slot.
+        for (const cplx bad : {cplx{nan, 0.0}, cplx{0.0, nan}}) {
+          auto x = a;
+          auto y = a;
+          x[i] = bad;
+          y[i] = bad;
+          EXPECT_EQ(k.first_mismatch(x.data(), y.data(), n), i)
+              << "n=" << n << " i=" << i << " " << simd::backend_name(b);
+        }
+        // An ordinary difference in the imaginary slot only.
+        auto d = a;
+        d[i] += cplx{0.0, 1e-300};
+        EXPECT_EQ(k.first_mismatch(a.data(), d.data(), n),
+                  d[i] == a[i] ? n : i);
+      }
+    }
   }
 }
 
