@@ -208,7 +208,11 @@ class InplaceRun {
         rx = checksum::omega3_weighted_sum(res, k_);
       }
       ++stats_.verifications;
-      if (std::abs(rx - ccg) <= eta) return;
+      const double r = std::abs(rx - ccg);
+      if (r <= eta) {
+        stats_.margin_m = std::max(stats_.margin_m, r / eta);
+        return;
+      }
       if (attempt >= opts_.max_retries) {
         throw UncorrectableError(
             "inplace ABFT: layer-1 sub-FFT kept failing verification");
@@ -362,7 +366,11 @@ class InplaceRun {
             stats_.eta_k = std::max(stats_.eta_k, eta);
           }
           ++stats_.verifications;
-          if (std::abs(rx - ccg) <= eta) break;
+          const double r = std::abs(rx - ccg);
+          if (r <= eta) {
+            stats_.margin_k = std::max(stats_.margin_k, r / eta);
+            break;
+          }
           if (attempt >= opts_.max_retries) {
             throw UncorrectableError(
                 "inplace ABFT: layer-3 sub-FFT kept failing verification");
@@ -478,7 +486,12 @@ class InplaceRun {
   void verify_segment(std::size_t unit, cplx* seg) {
     const cplx rx = checksum::omega3_weighted_sum(seg, k_);
     ++stats_.verifications;
-    if (std::abs(rx - fccv_[unit]) <= eta_comp(e_seg_[unit])) return;
+    const double eta = eta_comp(e_seg_[unit]);
+    const double r = std::abs(rx - fccv_[unit]);
+    if (r <= eta) {
+      stats_.margin_k = std::max(stats_.margin_k, r / eta);
+      return;
+    }
     ++stats_.mem_errors_detected;
     bool corrected;
     if (!fsyn_.empty()) {

@@ -13,6 +13,14 @@
 // verification of the output, with the section-4 optimizations
 // (combined checksums, verification postponing, incremental generation,
 // contiguous buffering) individually switchable for ablation.
+//
+// For power-of-two N from 2^15 on, the fully optimized memory-FT preset
+// runs the same two layers on the passes of the shared power-of-two engine
+// instead (the window schedule, see window_schedule_covers in
+// abft/protection_plan.hpp): each cache window of the engine is one
+// m-point sub-FFT, checked while in cache; the engine's tail is the k-point
+// layer with its twiddles in the butterflies, checked per column at the
+// end. No DMR twiddle and no staged transpose remain on that path.
 #pragma once
 
 #include <cstddef>

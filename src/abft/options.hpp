@@ -181,6 +181,11 @@ struct Stats {
   double eta_k = 0.0;                    ///< threshold used, second layer
   double eta_mem = 0.0;                  ///< threshold used, memory checksums
   double eta_real = 0.0;                 ///< threshold used, real post-pass
+  /// Largest residual/eta among the passing computational checks of the
+  /// first (margin_m) and second (margin_k) layer of the online schemes:
+  /// how close clean traffic ran to a false alarm (1 = at the threshold).
+  double margin_m = 0.0;
+  double margin_k = 0.0;
 
   void reset() { *this = Stats{}; }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "abft/inplace.hpp"
 #include "common/env.hpp"
@@ -84,7 +85,50 @@ std::size_t inplace_tile_columns(std::size_t k, std::size_t blk) {
 // non-power-of-two sub-sizes keep the separate-pass path.
 bool fused_eligible(std::size_t n) { return n >= 8 && is_pow2(n); }
 
+// Window schedule of the out-of-place online scheme (abft/online.cpp): the
+// first layer is one cache window of the engine, m = 2^w with w of the
+// parity of log2(n) so the windows end on a radix-4 stage boundary, and the
+// second layer is the engine's tail of k = n / m points. Measured on 4
+// cores, g++ 12.2, AVX2 (FtPlan::forward medians of 15-21 calls against the
+// staged path, paired in one process):
+//  * k = 2^8 makes the tail exactly two radix-16 passes, as many as the
+//    plain engine makes at 2^20..2^22. k = 2^4, 2^6, 2^8 and 2^10 measured
+//    within noise of each other at 2^17..2^20, and k = 2^8 fastest at
+//    2^15/2^16; larger k also widens eta_k (ROADMAP lists eta per split).
+//  * m stops at 2^14 (256 KiB) so that the window and the four column
+//    arrays the epilogue updates (CCG, duals, energies; 1 MiB) fit a 2 MiB
+//    L2; larger windows were not measured. Above 2^22 the split keeps m at
+//    2^13/2^14 and lets k grow instead.
+//  * The schedule starts at 2^15, where it beat the staged path by 45%
+//    (0.57 vs 1.04 ms); it measured faster down to 2^12, but the serving
+//    sizes 2^10..2^14 keep the staged path and its per-unit retries.
+//  * m = 2^9 is skipped: it is the one sub-size at which today's practical
+//    eta leaves a fault-free run less than a 2x margin (worst residual/eta
+//    0.87 over 24 gaussian seeds at 2^17, against <= 0.41 for every other
+//    split in use), so 2^17 takes m = 2^11, k = 2^6.
+constexpr unsigned kWindowMinLog2 = 15;
+constexpr unsigned kWindowTailLog2 = 8;
+constexpr unsigned kWindowMaxLog2 = 14;
+constexpr unsigned kWindowSkipLog2 = 9;
+
+// log2(m) of the window schedule for size n, or 0 for the staged split.
+unsigned window_split_log2(std::size_t n) {
+  if (!is_pow2(n)) return 0;
+  const unsigned log2n = log2_floor(n);
+  if (log2n < kWindowMinLog2) return 0;
+  unsigned w = log2n - kWindowTailLog2;
+  if (w == kWindowSkipLog2) w += 2;
+  if (w > kWindowMaxLog2) w = kWindowMaxLog2 - ((log2n ^ kWindowMaxLog2) & 1u);
+  return w;
+}
+
 }  // namespace
+
+bool window_schedule_covers(const Options& opts) noexcept {
+  return opts.memory_ft && opts.combined_checksums && opts.postpone_mcv &&
+         opts.incremental_mcg && opts.contiguous_buffering &&
+         !opts.backup_in_input;
+}
 
 bool fused_profitable(std::size_t n) noexcept {
   // Inside the schemes every sub-FFT input was just staged (gathered rows,
@@ -127,7 +171,11 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       break;
     }
     case Scheme::kOnline: {
-      const auto split = balanced_split(n);
+      window_log2_ = window_split_log2(n);
+      const auto split = window_log2_ != 0
+                             ? std::pair{std::size_t{1} << window_log2_,
+                                         n >> window_log2_}
+                             : balanced_split(n);
       m_ = split.first;
       k_ = split.second;
       wm_ = checksum::shared_input_checksum_vector(m_, opts.ra_method);
@@ -239,6 +287,15 @@ bool inject_plan_state(std::size_t n, const Options& opts, bool inplace) {
   if (!plan) return false;
   StateSpans s;
   plan->collect_state(s);
+  // The window schedule runs on the shared engine plan of size n, which the
+  // protection plan does not hold (its own registry seals it): its spans
+  // follow the plan's, so campaigns can reach the stage twiddles too.
+  std::shared_ptr<const fft::InplaceRadix2Plan> engine;
+  if (!inplace && opts.mode == Mode::kOnline && plan->window_log2() != 0 &&
+      window_schedule_covers(opts)) {
+    engine = fft::InplaceRadix2Plan::get(n);
+    engine->collect_state(s);
+  }
   std::size_t fired = 0;
   for (std::size_t i = 0; i < s.spans.size(); ++i) {
     // The spans are immutable by contract; the const_cast models a hardware

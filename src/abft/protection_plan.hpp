@@ -64,6 +64,10 @@ class ProtectionPlan {
 
   /// kOnline: first-layer sub-FFT size m in n = m*k. Unused otherwise.
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
+  /// kOnline: log2(m) when the plan runs the window schedule (m = 2^w is a
+  /// window of InplaceRadix2Plan::get(n), see window_schedule_covers), 0
+  /// for the staged four-step split.
+  [[nodiscard]] unsigned window_log2() const noexcept { return window_log2_; }
   /// kOnline: second-layer size k. kOnlineInplace: outer sub-FFT size k in
   /// n = k*r*k. kOffline: unused.
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
@@ -187,6 +191,7 @@ class ProtectionPlan {
   std::size_t n_;
   Scheme scheme_;
   std::size_t m_ = 0, k_ = 0, r_ = 0, blk_ = 0;
+  unsigned window_log2_ = 0;
   std::shared_ptr<const std::vector<cplx>> wm_;
   std::shared_ptr<const std::vector<cplx>> wk_;
   std::shared_ptr<const fft::InplaceRadix2Plan> fused_m_;
@@ -214,6 +219,18 @@ class ProtectionPlan {
 /// whole-transform scheme is deliberately not gated.
 [[nodiscard]] bool fused_profitable(std::size_t n) noexcept;
 
+/// True when the out-of-place online scheme runs `opts` on the window
+/// schedule of a plan with window_log2() != 0: the two layers checked on
+/// the passes of the shared power-of-two engine, with no staged transposes
+/// and no DMR twiddle (abft/online.cpp). It covers the fully optimized
+/// memory-fault-tolerant preset (FtPlan's default). Every other option set
+/// keeps the staged path on the same split: computational-only protection
+/// (whose coverage boundary pins input memory faults as undetected), the
+/// naive hierarchies, and backup_in_input (the window pass writes its backup
+/// while later windows still read the input). Options::fused_checksums
+/// does not change it: the checksums ride on the engine's passes anyway.
+[[nodiscard]] bool window_schedule_covers(const Options& opts) noexcept;
+
 /// Resolves the cached plan the given options need for the out-of-place
 /// (inplace = false) or in-place entry point; nullptr for Mode::kNone
 /// (plain FFT needs no protection state). Mode::kOffline maps to
@@ -230,7 +247,9 @@ using ftfft::detail::require;
 /// Phase::kPlanState injection hook (fault campaigns only): resolves the
 /// plan the transform is about to use and fires every armed kPlanState
 /// fault of opts.injector into its cached state spans — unit selects the
-/// span (collect_state order), element the cplx-sized offset within it.
+/// span (collect_state order, followed for a window-schedule plan by the
+/// spans of InplaceRadix2Plan::get(n)), element the cplx-sized offset
+/// within it.
 /// Returns true when at least one fault landed, in which case the caller
 /// must drop any pre-resolved plan handle and re-resolve through the
 /// verifying registry, which detects the seal mismatch, evicts and

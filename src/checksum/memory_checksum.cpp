@@ -1,6 +1,7 @@
 #include "checksum/memory_checksum.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "simd/dispatch.hpp"
 
@@ -72,21 +73,24 @@ void accumulate_column_checksums(const cplx* x, std::size_t rows,
                                  const cplx* w, cplx* s1, cplx* s2,
                                  double* energy) {
   simd::checksum_kernels().column_checksums(x, rows, cols, first_row, w, s1,
-                                            s2, energy);
+                                            s2, energy, nullptr);
 }
 
 void input_cmcg(const cplx* x, std::size_t rows, std::size_t cols,
                 const cplx* w, int moments, std::vector<cplx>& s1,
                 std::vector<cplx>& s2, std::vector<double>& energy,
-                std::vector<SyndromeSet>& syn) {
+                std::vector<SyndromeSet>& syn, cplx* copy) {
   s1.assign(cols, cplx{0.0, 0.0});
   s2.assign(cols, cplx{0.0, 0.0});
   energy.assign(cols, 0.0);
   syn.clear();
   if (moments == 0) {
-    accumulate_column_checksums(x, rows, cols, 0, w, s1.data(), s2.data(),
-                                energy.data());
+    simd::checksum_kernels().column_checksums(x, rows, cols, 0, w, s1.data(),
+                                              s2.data(), energy.data(), copy);
     return;
+  }
+  if (copy != nullptr) {
+    std::memcpy(static_cast<void*>(copy), x, rows * cols * sizeof(cplx));
   }
   SyndromeSet init;
   init.moments = moments;

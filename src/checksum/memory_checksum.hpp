@@ -79,10 +79,11 @@ void accumulate_column_checksums(const cplx* x, std::size_t rows,
 /// t > 1) the same pass folds every weighted element into the slot's
 /// syndrome moments, the only cost that escalation path adds to a
 /// fault-free run, in a scalar loop with the same dual-sum bits; otherwise
-/// syn is cleared.
+/// syn is cleared. With copy != nullptr, x is also copied to
+/// copy[0, rows * cols), in the same pass when moments == 0.
 void input_cmcg(const cplx* x, std::size_t rows, std::size_t cols,
                 const cplx* w, int moments, std::vector<cplx>& s1,
                 std::vector<cplx>& s2, std::vector<double>& energy,
-                std::vector<SyndromeSet>& syn);
+                std::vector<SyndromeSet>& syn, cplx* copy = nullptr);
 
 }  // namespace ftfft::checksum

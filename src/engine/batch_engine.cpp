@@ -73,6 +73,8 @@ void accumulate(abft::Stats& into, const abft::Stats& s) {
   into.eta_k = std::max(into.eta_k, s.eta_k);
   into.eta_mem = std::max(into.eta_mem, s.eta_mem);
   into.eta_real = std::max(into.eta_real, s.eta_real);
+  into.margin_m = std::max(into.margin_m, s.margin_m);
+  into.margin_k = std::max(into.margin_k, s.margin_k);
 }
 
 // Expands the contiguous batch layout (lane L at in + L*n / out + L*n)

@@ -21,7 +21,9 @@ enum class Phase : std::uint8_t {
   kInputBeforeChecksum,   ///< input memory, before any checksum exists
   kInputAfterChecksum,    ///< input memory, after checksum generation (e1)
   kMFftOutput,            ///< output of one m-point sub-FFT (computational)
-  kIntermediate,          ///< intermediate result between the two layers (e2)
+  kIntermediate,          ///< intermediate result between the two layers
+                          ///< (e2): unit 0 the data itself; unit 1 its
+                          ///< parked backup on the online window schedule
   kTwiddleDmrCopy,        ///< one redundant execution of the twiddle multiply
   kMiddleDmrCopy,         ///< one redundant execution of an r-point middle FFT
   kKFftOutput,            ///< output of one k-point sub-FFT (computational)

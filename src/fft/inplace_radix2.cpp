@@ -89,16 +89,8 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
   // Split the schedule at the cache window: stages with len <= the window
   // run window-by-window in one streaming pass; the rest stream the whole
   // array once per pass and form the tail.
-  const auto count_blocked = [this](unsigned block_log2) {
-    const std::size_t window = n_ < (std::size_t{1} << block_log2)
-                                   ? n_
-                                   : (std::size_t{1} << block_log2);
-    std::size_t count = 0;
-    while (count < stages_.size() && stages_[count].len <= window) ++count;
-    return count;
-  };
-  blocked_stage_count_ = count_blocked(block_log2_);
-  ref_blocked_stage_count_ = count_blocked(kReferenceBlockLog2);
+  blocked_stage_count_ = stages_within(block_log2_);
+  ref_blocked_stage_count_ = stages_within(kReferenceBlockLog2);
   // Regroup the tail: fuse consecutive radix-4 stage pairs into radix-16
   // passes (four radix-2 levels per stream over the array), leaving at most
   // one radix-4 stage when the tail count is odd. The fused pass runs both
@@ -194,7 +186,6 @@ void InplaceRadix2Plan::blocked_pass(cplx* data, bool inverse,
                                      bool skip_opener, double scale,
                                      unsigned block_log2,
                                      std::size_t stage_count) const {
-  const auto& kernels = simd::fft_kernels();
   const std::size_t block =
       n_ < (std::size_t{1} << block_log2) ? n_
                                           : (std::size_t{1} << block_log2);
@@ -206,25 +197,60 @@ void InplaceRadix2Plan::blocked_pass(cplx* data, bool inverse,
   // rejected: sixteen live vectors spill on AVX2's sixteen registers, which
   // a DRAM-bound tail pass hides but a cache-resident sweep pays in full —
   // the blocked pass got ~30-60% slower.)
-  const std::size_t first = (skip_opener && !(log2n_ & 1u)) ? 1 : 0;
   for (std::size_t off = 0; off < n_; off += block) {
-    if (!skip_opener && (log2n_ & 1u)) {
-      kernels.radix2_stage0(data + off, block);
-    }
-    for (std::size_t i = first; i < stage_count; ++i) {
-      const FusedStage& st = stages_[i];
-      if (st.len == 4) {
-        kernels.radix4_first_stage(data + off, block, inverse);
-      } else {
-        // The fused 1/n scaling (scale != 1.0 only when the tail is empty
-        // and n >= 8) lands on the last blocked stage of each window.
-        const double s = (scale != 1.0 && i + 1 == stage_count) ? scale : 1.0;
-        kernels.radix4_stage(data + off, block, st.len,
-                             stage_twiddles_.data() + st.w1_off,
-                             stage_twiddles_.data() + st.w2_off, inverse, s);
-      }
+    window_pass(data + off, block, inverse, skip_opener, scale, stage_count);
+  }
+}
+
+void InplaceRadix2Plan::window_pass(cplx* window, std::size_t block,
+                                    bool inverse, bool skip_opener,
+                                    double scale,
+                                    std::size_t stage_count) const {
+  const auto& kernels = simd::fft_kernels();
+  if (!skip_opener && (log2n_ & 1u)) kernels.radix2_stage0(window, block);
+  const std::size_t first = (skip_opener && !(log2n_ & 1u)) ? 1 : 0;
+  for (std::size_t i = first; i < stage_count; ++i) {
+    const FusedStage& st = stages_[i];
+    if (st.len == 4) {
+      kernels.radix4_first_stage(window, block, inverse);
+    } else {
+      // The fused 1/n scaling (scale != 1.0 only when the tail is empty
+      // and n >= 8) lands on the last blocked stage of each window.
+      const double s = (scale != 1.0 && i + 1 == stage_count) ? scale : 1.0;
+      kernels.radix4_stage(window, block, st.len,
+                           stage_twiddles_.data() + st.w1_off,
+                           stage_twiddles_.data() + st.w2_off, inverse, s);
     }
   }
+}
+
+std::size_t InplaceRadix2Plan::stages_within(unsigned w) const noexcept {
+  std::size_t count = 0;
+  while (count < stages_.size() && stages_[count].len <= (std::size_t{1} << w)) {
+    ++count;
+  }
+  return count;
+}
+
+bool InplaceRadix2Plan::window_split_ok(unsigned w) const noexcept {
+  return w >= 2 && w < log2n_ && (w & 1u) == (log2n_ & 1u);
+}
+
+void InplaceRadix2Plan::forward_window(cplx* window, unsigned w,
+                                       bool include_opener) const {
+  assert(window_split_ok(w));
+  window_pass(window, std::size_t{1} << w, /*inverse=*/false,
+              /*skip_opener=*/!include_opener, /*scale=*/1.0,
+              stages_within(w));
+}
+
+void InplaceRadix2Plan::forward_tail_from(cplx* data, unsigned w) const {
+  assert(window_split_ok(w));
+  // The radix-16 pairing of the tail_ schedule, started at the first stage
+  // past the window. Both kernels run the radix-4 stages' exact butterflies
+  // on their unchanged twiddle packs, so the result equals forward() bit
+  // for bit whatever the window.
+  stage_pairs_from(data, stages_within(w), /*inverse=*/false, /*scale=*/1.0);
 }
 
 void InplaceRadix2Plan::tail_pass(cplx* data, bool inverse,
@@ -257,7 +283,6 @@ void InplaceRadix2Plan::paired_pass(cplx* data, bool inverse,
   // threshold plain radix-4 sweeps stay faster; see blocked_pass.) `scale`
   // lands on the final pass, which is a radix-4/16 pass whenever n >= 8.
   const auto& kernels = simd::fft_kernels();
-  const cplx* tw = stage_twiddles_.data();
   std::size_t i = 0;
   if (log2n_ & 1u) {
     kernels.radix2_stage0(data, n_);
@@ -265,6 +290,14 @@ void InplaceRadix2Plan::paired_pass(cplx* data, bool inverse,
     kernels.radix4_first_stage(data, n_, inverse);
     i = 1;
   }
+  stage_pairs_from(data, i, inverse, scale);
+}
+
+void InplaceRadix2Plan::stage_pairs_from(cplx* data, std::size_t first,
+                                         bool inverse, double scale) const {
+  const auto& kernels = simd::fft_kernels();
+  const cplx* tw = stage_twiddles_.data();
+  std::size_t i = first;
   for (; i + 1 < stages_.size(); i += 2) {
     const FusedStage& a = stages_[i];
     const FusedStage& b = stages_[i + 1];

@@ -183,6 +183,30 @@ class InplaceRadix2Plan {
   /// cache window). No-op when the whole transform fits one window.
   void tail_stages_pass(cplx* data) const;
 
+  // ------------------------------------------------------------------
+  // Window schedule: forward() split into its two layers, for the protected
+  // out-of-place Opt-Online path (abft/online.cpp), which checks each layer
+  // on these passes instead of a four-step transform of its own. After the
+  // bit-reversal permutation, the aligned window of 2^w elements at offset
+  // W * 2^w holds the stride-k subsequence x[i], x[i + k], ... (k = n / 2^w,
+  // i = bit-reversal of W over log2 k bits) in bit-reversed order, and the
+  // stages of len <= 2^w turn it into that subsequence's 2^w-point DFT. The
+  // remaining stages are the k-point second layer over the columns
+  // {c + 2^w * j}, its twiddles folded into the butterflies. Permutation,
+  // forward_window() over every window and forward_tail_from() produce
+  // forward()'s bits exactly.
+
+  /// True when 2^w windows split the schedule on a stage boundary: w has
+  /// the parity of log2(n) and 2 <= w < log2(n).
+  [[nodiscard]] bool window_split_ok(unsigned w) const noexcept;
+  /// Runs the stages of len <= 2^w on one window of 2^w elements; with
+  /// include_opener also the twiddle-free opener stage, which
+  /// permute_cobra_fused_opener() otherwise applied already.
+  void forward_window(cplx* window, unsigned w, bool include_opener) const;
+  /// The stages of len > 2^w over the whole array, as radix-16 passes and
+  /// a final radix-4 stage when their count is odd.
+  void forward_tail_from(cplx* data, unsigned w) const;
+
   [[nodiscard]] bool cobra_enabled() const noexcept {
     return cobra_ != nullptr;
   }
@@ -215,8 +239,17 @@ class InplaceRadix2Plan {
   OpenLastStage open_last_stages(cplx* data, bool opener_fused) const;
   void blocked_pass(cplx* data, bool inverse, bool skip_opener, double scale,
                     unsigned block_log2, std::size_t stage_count) const;
+  void window_pass(cplx* window, std::size_t block, bool inverse,
+                   bool skip_opener, double scale,
+                   std::size_t stage_count) const;
+  /// Number of stages_ with len <= 2^w.
+  std::size_t stages_within(unsigned w) const noexcept;
   void tail_pass(cplx* data, bool inverse, double scale) const;
   void paired_pass(cplx* data, bool inverse, double scale) const;
+  /// stages_[first..] over the whole array as radix-16 pairs, then one
+  /// radix-4 stage when their count is odd; `scale` lands on the last.
+  void stage_pairs_from(cplx* data, std::size_t first, bool inverse,
+                        double scale) const;
 
   /// One fused (radix-4) stage of the reference schedule. The twiddles for
   /// butterfly j of the stage — w1 = omega_{len/2}^j and w2 = omega_{len}^j

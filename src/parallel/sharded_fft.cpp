@@ -225,6 +225,8 @@ void accumulate(abft::Stats& dst, const abft::Stats& s) {
   dst.eta_m = std::max(dst.eta_m, s.eta_m);
   dst.eta_k = std::max(dst.eta_k, s.eta_k);
   dst.eta_mem = std::max(dst.eta_mem, s.eta_mem);
+  dst.margin_m = std::max(dst.margin_m, s.margin_m);
+  dst.margin_k = std::max(dst.margin_k, s.margin_k);
 }
 
 // Verifies a received block against its sender-side dual checksum and

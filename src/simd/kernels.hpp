@@ -57,10 +57,11 @@ struct ChecksumKernels {
   /// s2[i] += t * p and energy[i] += |x_ti|^2, with
   /// p = w[t - first_row] * x_ti (w == nullptr: p = x_ti). Lanes run across
   /// columns and nothing is contracted, so every backend is bitwise
-  /// identical to the scalar reference.
+  /// identical to the scalar reference. With copy != nullptr the same pass
+  /// also stores the block to copy[0, rows * cols).
   void (*column_checksums)(const cplx* x, std::size_t rows, std::size_t cols,
                            std::size_t first_row, const cplx* w, cplx* s1,
-                           cplx* s2, double* energy);
+                           cplx* s2, double* energy, cplx* copy);
 };
 
 /// FFT butterfly/combine kernels.
@@ -197,6 +198,18 @@ struct FftKernels {
   /// First i with a[i] != b[i] under complex != (NaN never equals,
   /// -0 == +0), or n: the compare of the two DMR copies.
   std::size_t (*first_mismatch)(const cplx* a, const cplx* b, std::size_t n);
+  // ---- Window schedule of the out-of-place online scheme (abft/online.cpp).
+  /// One pass over a verified first-layer window y[0, len) (len a multiple
+  /// of four) that feeds the second layer: acc[c] += y[c] * scale *
+  /// omega_N^(c * step) (the CCG; the products are exactly those of
+  /// twiddle_multiply, recurrence included), the column duals
+  /// s1[c] += y[c] and s2[c] += row * y[c], the column energies
+  /// e2[c] += |y[c]|^2 (in both slots of e2[c]), and backup[c] = y[c]. The
+  /// duals and energies round like column_checksums with w == nullptr; every
+  /// product is plain mul/add, so all backends are bitwise identical.
+  void (*window_epilogue)(const cplx* y, std::size_t len, std::size_t n,
+                          std::size_t step, cplx scale, double row, cplx* acc,
+                          cplx* s1, cplx* s2, cplx* e2, cplx* backup);
 };
 
 /// Backend tables. A getter returns nullptr when that backend is not
@@ -264,7 +277,7 @@ void scalar_twiddle_tail(const cplx* src, std::size_t stride, cplx* dst,
 void scalar_column_checksums(const cplx* x, std::size_t rows,
                              std::size_t cols, std::size_t first_row,
                              const cplx* w, cplx* s1, cplx* s2,
-                             double* energy, std::size_t begin,
+                             double* energy, cplx* copy, std::size_t begin,
                              std::size_t end);
 
 }  // namespace ftfft::simd

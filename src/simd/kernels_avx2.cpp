@@ -199,10 +199,10 @@ inline __m256d uncontracted(__m256d v) {
 // [i, i + 4): one load/store of s1, s2 and energy per R rows, and every
 // column still sums its rows in t order with the reference's rounding
 // (cmul_nofma, a separate multiply before each add, hadd for |x|^2).
-template <std::size_t R, bool Weighted>
+template <std::size_t R, bool Weighted, bool Copy>
 void column_rows(const cplx* x, std::size_t cols, std::size_t r0,
                  std::size_t first_row, const cplx* w, cplx* s1, cplx* s2,
-                 double* energy, std::size_t cv) {
+                 double* energy, cplx* copy, std::size_t cv) {
   V wt[R];
   __m256d td[R];
   for (std::size_t r = 0; r < R; ++r) {
@@ -216,6 +216,10 @@ void column_rows(const cplx* x, std::size_t cols, std::size_t r0,
     for (std::size_t r = 0; r < R; ++r) {
       const cplx* row = x + (r0 + r) * cols + i;
       const V x0 = V::load(row), x1 = V::load(row + 2);
+      if constexpr (Copy) {
+        x0.store(copy + (row - x));
+        x1.store(copy + (row - x) + 2);
+      }
       V p0 = x0, p1 = x1;
       if constexpr (Weighted) {
         p0 = x0.cmul_nofma(wt[r]);
@@ -238,32 +242,43 @@ void column_rows(const cplx* x, std::size_t cols, std::size_t r0,
   }
 }
 
-template <bool Weighted>
+template <bool Weighted, bool Copy>
 void column_blocks(const cplx* x, std::size_t rows, std::size_t cols,
                    std::size_t first_row, const cplx* w, cplx* s1, cplx* s2,
-                   double* energy, std::size_t cv) {
+                   double* energy, cplx* copy, std::size_t cv) {
   constexpr std::size_t kRows = 4;
   std::size_t r = 0;
   for (; r + kRows <= rows; r += kRows) {
-    column_rows<kRows, Weighted>(x, cols, r, first_row, w, s1, s2, energy,
-                                 cv);
+    column_rows<kRows, Weighted, Copy>(x, cols, r, first_row, w, s1, s2,
+                                       energy, copy, cv);
   }
   for (; r < rows; ++r) {
-    column_rows<1, Weighted>(x, cols, r, first_row, w, s1, s2, energy, cv);
+    column_rows<1, Weighted, Copy>(x, cols, r, first_row, w, s1, s2, energy,
+                                   copy, cv);
   }
 }
 
 void a_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
                         std::size_t first_row, const cplx* w, cplx* s1,
-                        cplx* s2, double* energy) {
+                        cplx* s2, double* energy, cplx* copy) {
   const std::size_t cv = cols & ~std::size_t{3};
-  if (w != nullptr) {
-    column_blocks<true>(x, rows, cols, first_row, w, s1, s2, energy, cv);
+  if (copy != nullptr) {
+    if (w != nullptr) {
+      column_blocks<true, true>(x, rows, cols, first_row, w, s1, s2, energy,
+                                copy, cv);
+    } else {
+      column_blocks<false, true>(x, rows, cols, first_row, w, s1, s2, energy,
+                                 copy, cv);
+    }
+  } else if (w != nullptr) {
+    column_blocks<true, false>(x, rows, cols, first_row, w, s1, s2, energy,
+                               copy, cv);
   } else {
-    column_blocks<false>(x, rows, cols, first_row, w, s1, s2, energy, cv);
+    column_blocks<false, false>(x, rows, cols, first_row, w, s1, s2, energy,
+                                copy, cv);
   }
-  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, cv,
-                          cols);
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, copy,
+                          cv, cols);
 }
 
 // -------------------------------------------------------------- tables
@@ -296,6 +311,7 @@ constexpr FftKernels kAvx2Fft = {
     impl::k_r2c_last_stage16<V>,
     impl::k_twiddle_multiply<V>,
     impl::k_first_mismatch<V>,
+    impl::k_window_epilogue<V>,
 };
 
 constexpr ChecksumKernels kAvx2Checksum = {

@@ -1323,6 +1323,81 @@ void k_twiddle_multiply(const cplx* src, std::size_t stride, cplx* dst,
                                                      n, step, scale, cw, cs);
 }
 
+/// The window epilogue of the out-of-place online scheme (see
+/// FftKernels::window_epilogue): one pass over y[0, len), len a multiple
+/// of four. The CCG products are twiddle_multiply's exactly: the same block
+/// seeds, the same recurrence, the same w * x rounding. B resync blocks run
+/// interleaved, as in twiddle_blocks. Stream: the backup copy bypasses the
+/// cache (it is only read again on recovery, and write-allocating it would
+/// evict the column arrays the next window updates).
+template <class V, std::size_t B, bool Stream>
+void window_epilogue_blocks(const cplx* y, std::size_t i0, std::size_t len,
+                            std::size_t n, std::size_t step, cplx scale,
+                            cplx base, V base4, double row, cplx* acc,
+                            cplx* s1, cplx* s2, cplx* e2, cplx* backup) {
+  constexpr std::size_t W = V::width;
+  constexpr std::size_t kVecs = 4 / W;
+  const std::size_t rest = len - i0 - (B - 1) * kTwiddleResync;
+  const std::size_t rows = rest < kTwiddleResync ? rest : kTwiddleResync;
+  V w[B][kVecs];
+  for (std::size_t b = 0; b < B; ++b) {
+    cplx lanes[4];
+    scalar_twiddle_seeds(n, i0 + b * kTwiddleResync, step, scale, base, lanes);
+    for (std::size_t v = 0; v < kVecs; ++v) w[b][v] = V::load(lanes + v * W);
+  }
+  for (std::size_t j = 0; j < rows; j += 4) {
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        const std::size_t e = i0 + b * kTwiddleResync + j + v * W;
+        const V x = V::load(y + e);
+        if constexpr (Stream) {
+          x.store_stream(backup + e);
+        } else {
+          x.store(backup + e);
+        }
+        (V::load(acc + e) + w[b][v].cmul_nofma(x)).store(acc + e);
+        w[b][v] = w[b][v].cmul_nofma(base4);
+        (V::load(s1 + e) + x).store(s1 + e);
+        (V::load(s2 + e) + x.scale(row).opaque()).store(s2 + e);
+        (V::load(e2 + e) + V::norm2_dup(x)).store(e2 + e);
+      }
+    }
+  }
+}
+
+template <class V, bool Stream>
+void window_epilogue_t(const cplx* y, std::size_t len, std::size_t n,
+                       std::size_t step, cplx scale, double row, cplx* acc,
+                       cplx* s1, cplx* s2, cplx* e2, cplx* backup) {
+  constexpr std::size_t R = kTwiddleResync;
+  const cplx base = omega(n, step);
+  const V base4 =
+      V::broadcast(omega(n, 4 * static_cast<std::uint64_t>(step)));
+  std::size_t i0 = 0;
+  for (; i0 + 2 * R <= len; i0 += 2 * R) {
+    window_epilogue_blocks<V, 2, Stream>(y, i0, len, n, step, scale, base,
+                                         base4, row, acc, s1, s2, e2, backup);
+  }
+  for (; i0 < len; i0 += R) {
+    window_epilogue_blocks<V, 1, Stream>(y, i0, len, n, step, scale, base,
+                                         base4, row, acc, s1, s2, e2, backup);
+  }
+}
+
+template <class V>
+void k_window_epilogue(const cplx* y, std::size_t len, std::size_t n,
+                       std::size_t step, cplx scale, double row, cplx* acc,
+                       cplx* s1, cplx* s2, cplx* e2, cplx* backup) {
+  if (reinterpret_cast<std::uintptr_t>(backup) % V::kStreamAlign == 0) {
+    window_epilogue_t<V, true>(y, len, n, step, scale, row, acc, s1, s2, e2,
+                               backup);
+    V::stream_fence();
+  } else {
+    window_epilogue_t<V, false>(y, len, n, step, scale, row, acc, s1, s2, e2,
+                                backup);
+  }
+}
+
 /// First i with a[i] != b[i] under complex != (a NaN slot mismatches,
 /// -0 == +0), or n.
 template <class V>

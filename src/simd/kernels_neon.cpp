@@ -38,9 +38,9 @@ void n_radix4_first_stage_from(cplx* dst, const cplx* src, std::size_t n,
 // contraction-pinned reference keeps them bitwise equal to scalar.
 void n_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
                         std::size_t first_row, const cplx* w, cplx* s1,
-                        cplx* s2, double* energy) {
-  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, 0,
-                          cols);
+                        cplx* s2, double* energy, cplx* copy) {
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, copy,
+                          0, cols);
 }
 
 constexpr FftKernels kNeonFft = {
@@ -65,6 +65,7 @@ constexpr FftKernels kNeonFft = {
     impl::k_r2c_last_stage16<V>,
     impl::k_twiddle_multiply<V>,
     impl::k_first_mismatch<V>,
+    impl::k_window_epilogue<V>,
 };
 
 constexpr ChecksumKernels kNeonChecksum = {

@@ -3,6 +3,7 @@
 // CMakeLists.txt) so the schoolbook complex multiply stays a plain
 // 4-mul/2-add sequence regardless of compiler contraction defaults — the
 // cross-backend comparison tests rely on that baseline being stable.
+#include <algorithm>
 #include <cassert>
 
 #include "dft/codelets.hpp"
@@ -157,11 +158,14 @@ void scalar_twiddle_tail(const cplx* src, std::size_t stride, cplx* dst,
 void scalar_column_checksums(const cplx* x, std::size_t rows,
                              std::size_t cols, std::size_t first_row,
                              const cplx* w, cplx* s1, cplx* s2,
-                             double* energy, std::size_t begin,
+                             double* energy, cplx* copy, std::size_t begin,
                              std::size_t end) {
   for (std::size_t r = 0; r < rows; ++r) {
     const double td = static_cast<double>(first_row + r);
     const cplx* row = x + r * cols;
+    if (copy != nullptr) {
+      std::copy(row + begin, row + end, copy + r * cols + begin);
+    }
     for (std::size_t i = begin; i < end; ++i) {
       const cplx p = w != nullptr ? cmul(w[r], row[i]) : row[i];
       s1[i] += p;
@@ -177,9 +181,9 @@ using V = ScalarVec;
 
 void s_column_checksums(const cplx* x, std::size_t rows, std::size_t cols,
                         std::size_t first_row, const cplx* w, cplx* s1,
-                        cplx* s2, double* energy) {
-  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, 0,
-                          cols);
+                        cplx* s2, double* energy, cplx* copy) {
+  scalar_column_checksums(x, rows, cols, first_row, w, s1, s2, energy, copy,
+                          0, cols);
 }
 
 void s_radix2_stage0(cplx* data, std::size_t n) {
@@ -226,6 +230,7 @@ constexpr FftKernels kScalarFft = {
     impl::k_r2c_last_stage16<V>,
     impl::k_twiddle_multiply<V>,
     impl::k_first_mismatch<V>,
+    impl::k_window_epilogue<V>,
 };
 
 constexpr ChecksumKernels kScalarChecksum = {

@@ -51,6 +51,12 @@ struct ScalarVec {
   /// Loads `width` elements p[0], p[stride], ...
   static ScalarVec gather(const cplx* p, std::size_t) noexcept { return {*p}; }
   void store(cplx* p) const noexcept { *p = v; }
+  /// Store that may bypass the cache (a plain store here); p must be
+  /// kStreamAlign-aligned. stream_fence() orders such stores before later
+  /// ones.
+  static constexpr std::size_t kStreamAlign = alignof(cplx);
+  void store_stream(cplx* p) const noexcept { *p = v; }
+  static void stream_fence() noexcept {}
   /// Dumps the 2*width underlying doubles.
   void store_raw(double* p) const noexcept {
     p[0] = v.real();
@@ -86,6 +92,10 @@ struct ScalarVec {
   ScalarVec scale(double s) const noexcept {
     return {cplx{v.real() * s, v.imag() * s}};
   }
+  /// This value, hidden from the optimizer so the add it feeds stays a
+  /// separate rounding instead of contracting into an FMA (a no-op here:
+  /// the scalar TU pins contraction off).
+  ScalarVec opaque() const noexcept { return *this; }
 
   /// Complex lanes in reverse order (width-1: identity). The Hermitian
   /// pair sweep of the real-transform post-pass walks one pointer forward
@@ -192,6 +202,16 @@ struct Avx2Vec {
 
   Avx2Vec scale(double s) const noexcept {
     return {_mm256_mul_pd(v, _mm256_set1_pd(s))};
+  }
+  static constexpr std::size_t kStreamAlign = 32;
+  void store_stream(cplx* p) const noexcept {
+    _mm256_stream_pd(reinterpret_cast<double*>(p), v);
+  }
+  static void stream_fence() noexcept { _mm_sfence(); }
+  Avx2Vec opaque() const noexcept {
+    __m256d r = v;
+    __asm__("" : "+x"(r));
+    return {r};
   }
 
   Avx2Vec reversed() const noexcept {
@@ -302,6 +322,14 @@ struct NeonVec {
 
   NeonVec scale(double s) const noexcept {
     return {vmulq_n_f64(v, s)};
+  }
+  static constexpr std::size_t kStreamAlign = alignof(cplx);
+  void store_stream(cplx* p) const noexcept { store(p); }
+  static void stream_fence() noexcept {}
+  NeonVec opaque() const noexcept {
+    float64x2_t r = v;
+    __asm__("" : "+w"(r));
+    return {r};
   }
 
   NeonVec reversed() const noexcept { return *this; }

@@ -328,7 +328,9 @@ namespace {
 
 // The second layer runs in tiles of plan.layer2_cols() staged columns.
 // Faults on the first and last column of a tile, and on the last column
-// overall, must be handled with the same counters as anywhere else.
+// overall, must be handled with the same counters as anywhere else. The
+// sizes run the staged split with its DMR twiddle: powers of two from 2^15
+// on run the window schedule instead (test_window_schedule.cpp).
 struct TileCase {
   std::size_t n;
   std::size_t bins;  // reference bins checked; 0 = the whole spectrum
@@ -436,7 +438,7 @@ TEST_P(OnlineTile, TwiddleDmrFaultAtTileEdgeVotedOut) {
 INSTANTIATE_TEST_SUITE_P(Shapes, OnlineTile,
                          ::testing::Values(TileCase{200, 0},
                                            TileCase{1 << 13, 512},
-                                           TileCase{1 << 17, 64}),
+                                           TileCase{81920, 64}),
                          [](const ::testing::TestParamInfo<TileCase>& pi) {
                            return "n" + std::to_string(pi.param.n);
                          });

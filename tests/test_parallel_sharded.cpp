@@ -37,6 +37,18 @@ void expect_matches_sequential(const std::vector<cplx>& x,
   }
 }
 
+// Wire size of one transpose message: bsz values plus the checksum trailer,
+// 2t values for the error budget t the plan resolved from opts (the dual
+// checksum at t = 1, the 2t syndrome moments above; FTFFT_MAX_ERRORS sets
+// the default).
+std::size_t message_bytes(std::size_t p, std::size_t n,
+                          const ParallelOptions& opts) {
+  const auto plan = parallel::ParallelPlan::get(p, n, opts.protect,
+                                                opts.max_correctable_errors);
+  const auto t = static_cast<std::size_t>(plan->max_errors());
+  return (n / (p * p) + 2 * t) * sizeof(cplx);
+}
+
 TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
   const std::size_t p = 4, n = 4096;
   const auto x = random_vector(n, InputDistribution::kUniform, 71);
@@ -54,16 +66,17 @@ TEST(ShardedFuture, AsyncSubmitCompletesWithReport) {
   // Three phases ran and were timed; comm/compute split is per phase.
   // Overlap hides up to the whole transfer under the block-pull work, so a
   // phase charges between nothing and its (p-1) unhidden messages.
-  const std::size_t bsz = n / (p * p);
-  const double transfer = static_cast<double>(p - 1) *
-                          ParallelOptions{}.net.cost((bsz + 2) * sizeof(cplx));
+  const std::size_t message =
+      message_bytes(p, n, ParallelOptions::opt_ft_fftw());
+  const double transfer =
+      static_cast<double>(p - 1) * ParallelOptions{}.net.cost(message);
   for (int ph = 0; ph < 3; ++ph) {
     EXPECT_GT(report.phases[ph].wall_seconds, 0.0) << "phase " << ph;
     EXPECT_GT(report.phases[ph].max_cpu_seconds, 0.0) << "phase " << ph;
     EXPECT_GE(report.phases[ph].modeled_comm, 0.0) << "phase " << ph;
     EXPECT_LE(report.phases[ph].modeled_comm, transfer) << "phase " << ph;
   }
-  EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+  EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * message);
   EXPECT_THROW(parallel::ParallelFuture{}.wait(), std::invalid_argument);
 }
 
@@ -165,8 +178,8 @@ TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
   EXPECT_EQ(report.stats.comp_errors_detected, 0u);
   EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
   // Accumulators were reset on restart: bytes reflect one clean pass.
-  const std::size_t bsz = n / (p * p);
-  EXPECT_EQ(report.bytes_per_rank, 3 * (p - 1) * (bsz + 2) * sizeof(cplx));
+  EXPECT_EQ(report.bytes_per_rank,
+            3 * (p - 1) * message_bytes(p, n, recovering));
 }
 
 TEST(ShardedCampaign, RankFailurePlusTransientFaultStillExact) {

@@ -17,6 +17,7 @@
 #include "checksum/dot.hpp"
 #include "checksum/memory_checksum.hpp"
 #include "checksum/weights.hpp"
+#include "common/aligned_buffer.hpp"
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -257,6 +258,15 @@ TEST(SimdChecksum, ColumnChecksumsBitIdenticalToScalarOnEveryBackend) {
                     same_bits(e, re))
             << rows << "x" << cols << " weights=" << (weights != nullptr)
             << " backend=" << simd::backend_name(b);
+        // The copying pass (the window schedule's input copy) leaves the
+        // sums alone and copies every element.
+        std::vector<cplx> copy(rows * cols);
+        checksum::input_cmcg(x.data(), rows, cols, weights, 0, s1, s2, e, syn,
+                             copy.data());
+        EXPECT_TRUE(same_bits(s1, rs1) && same_bits(s2, rs2) &&
+                    same_bits(e, re) && same_bits(copy, x))
+            << rows << "x" << cols << " copy, backend="
+            << simd::backend_name(b);
         // Row blocks folded one after another, each carrying its first row
         // index (the incremental column checksums of layer 1), give the
         // same bits as one pass.
@@ -355,6 +365,59 @@ TEST(SimdDmr, FusedSumIsTheWeightedSumEnergyOfTheProducts) {
                                                         len);
         EXPECT_EQ(std::memcmp(&fused, &want, sizeof(want)), 0)
             << "len=" << len << " stride=" << stride
+            << " backend=" << simd::backend_name(b);
+      }
+    }
+  }
+}
+
+// The window epilogue equals its separate passes bit for bit on every
+// backend: the CCG products are twiddle_multiply's, the duals and energies
+// are accumulate_column_checksums' (energies in both slots), and the backup
+// is a copy, whether or not the backup is aligned for streaming stores.
+TEST(SimdWindow, EpilogueEqualsItsSeparatePassesOnEveryBackend) {
+  BackendGuard guard;
+  const std::size_t n = 1 << 22;
+  for (const std::size_t len : {4, 64, 128, 132, 2048}) {
+    const auto y = random_vector(len, InputDistribution::kNormal, 840 + len);
+    const auto acc0 = random_vector(len, InputDistribution::kUniform, 841);
+    const auto s10 = random_vector(len, InputDistribution::kUniform, 842);
+    const auto s20 = random_vector(len, InputDistribution::kUniform, 843);
+    const cplx scale = omega(n, 12345);
+    const std::size_t step = 777;
+    const double row = 37.0;
+    for (Backend b : available_backends()) {
+      ASSERT_TRUE(simd::set_backend(b));
+      std::vector<cplx> tw(len);
+      simd::fft_kernels().twiddle_multiply(y.data(), 1, tw.data(), len, n,
+                                           step, scale, nullptr, nullptr);
+      std::vector<cplx> want_acc = acc0;
+      for (std::size_t c = 0; c < len; ++c) want_acc[c] += tw[c];
+      std::vector<cplx> want_s1 = s10, want_s2 = s20;
+      std::vector<double> want_e(len, 0.5);
+      checksum::accumulate_column_checksums(y.data(), 1, len, 37, nullptr,
+                                            want_s1.data(), want_s2.data(),
+                                            want_e.data());
+      for (const std::size_t offset : {0, 1}) {  // aligned, then not
+        std::vector<cplx> acc = acc0, s1 = s10, s2 = s20;
+        std::vector<cplx> e2(len, cplx{0.5, 0.5});
+        AlignedBuffer<cplx> backup(len + 1);
+        simd::fft_kernels().window_epilogue(y.data(), len, n, step, scale, row,
+                                            acc.data(), s1.data(), s2.data(),
+                                            e2.data(),
+                                            backup.data() + offset);
+        const std::vector<cplx> copied(backup.data() + offset,
+                                       backup.data() + offset + len);
+        std::vector<double> e(len);
+        bool dup = true;
+        for (std::size_t c = 0; c < len; ++c) {
+          e[c] = e2[c].real();
+          dup = dup && e2[c].imag() == e2[c].real();
+        }
+        EXPECT_TRUE(same_bits(acc, want_acc) && same_bits(s1, want_s1) &&
+                    same_bits(s2, want_s2) && same_bits(e, want_e) && dup &&
+                    same_bits(copied, y))
+            << "len=" << len << " offset=" << offset
             << " backend=" << simd::backend_name(b);
       }
     }
