@@ -14,7 +14,7 @@
 // (combined checksums, verification postponing, incremental generation,
 // contiguous buffering) individually switchable for ablation.
 //
-// For power-of-two N from 2^15 on, the fully optimized memory-FT preset
+// For power-of-two N from 2^14 on, the fully optimized memory-FT preset
 // runs the same two layers on the passes of the shared power-of-two engine
 // instead (the window schedule, see window_schedule_covers in
 // abft/protection_plan.hpp): each cache window of the engine is one

@@ -27,6 +27,7 @@ struct PlanKey {
   bool contiguous_buffering;
   std::size_t batch_columns;
   int max_errors;
+  unsigned window_log2;
   bool operator==(const PlanKey&) const = default;
 };
 
@@ -38,6 +39,7 @@ struct PlanKeyHash {
     h = h * 31 + static_cast<std::size_t>(key.contiguous_buffering);
     h = h * 31 + key.batch_columns;
     h = h * 31 + static_cast<std::size_t>(key.max_errors);
+    h = h * 31 + key.window_log2;
     return h;
   }
 };
@@ -99,14 +101,21 @@ bool fused_eligible(std::size_t n) { return n >= 8 && is_pow2(n); }
 //    arrays the epilogue updates (CCG, duals, energies; 1 MiB) fit a 2 MiB
 //    L2; larger windows were not measured. Above 2^22 the split keeps m at
 //    2^13/2^14 and lets k grow instead.
-//  * The schedule starts at 2^15, where it beat the staged path by 45%
-//    (0.57 vs 1.04 ms); it measured faster down to 2^12, but the serving
-//    sizes 2^10..2^14 keep the staged path and its per-unit retries.
+//  * The schedule starts at 2^14. On ftbench serve_mixed (2^10/2^12/2^14
+//    lanes and 2^14 r2c, whose packed half-size transform is 2^13; 8
+//    rounds of 10 s, each rotating four builds), starting it at 2^14
+//    instead of 2^15 gave throughput +20% (7/8 rounds), protected p50
+//    -18% and latency p50 -13%, with high-priority latency p50 within
+//    noise (+1.8%, 3/8 better). Starting at 2^13 or 2^12 added +26% /
+//    +28% throughput but made the high-priority latency p50 worse (+7%,
+//    1/8 better; +12%, 0/8 better), so the sizes below 2^14 keep the
+//    staged split. m = 2^6 at 2^14 keeps margin_m/margin_k <= 0.12 / 0.23
+//    over 24 seeds each of uniform, gaussian and tones inputs.
 //  * m = 2^9 is skipped: it is the one sub-size at which today's practical
 //    eta leaves a fault-free run less than a 2x margin (worst residual/eta
 //    0.87 over 24 gaussian seeds at 2^17, against <= 0.41 for every other
 //    split in use), so 2^17 takes m = 2^11, k = 2^6.
-constexpr unsigned kWindowMinLog2 = 15;
+constexpr unsigned kWindowMinLog2 = 14;
 constexpr unsigned kWindowTailLog2 = 8;
 constexpr unsigned kWindowMaxLog2 = 14;
 constexpr unsigned kWindowSkipLog2 = 9;
@@ -120,6 +129,12 @@ unsigned window_split_log2(std::size_t n) {
   if (w == kWindowSkipLog2) w += 2;
   if (w > kWindowMaxLog2) w = kWindowMaxLog2 - ((log2n ^ kWindowMaxLog2) & 1u);
   return w;
+}
+
+// The split of a kOnline plan: the window schedule only for option sets it
+// covers, so every other set keeps the balanced split at every size.
+unsigned online_window_log2(std::size_t n, const Options& opts) {
+  return window_schedule_covers(opts) ? window_split_log2(n) : 0;
 }
 
 }  // namespace
@@ -171,7 +186,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
       break;
     }
     case Scheme::kOnline: {
-      window_log2_ = window_split_log2(n);
+      window_log2_ = online_window_log2(n, opts);
       const auto split = window_log2_ != 0
                              ? std::pair{std::size_t{1} << window_log2_,
                                          n >> window_log2_}
@@ -231,16 +246,20 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
 std::shared_ptr<const ProtectionPlan> ProtectionPlan::get(std::size_t n,
                                                           Scheme scheme,
                                                           const Options& opts) {
-  // The staging-layout fields only shape kOnline plans (and batch_columns
-  // only buffered ones); normalize the irrelevant combinations out of the
-  // key so option sweeps don't dilute the LRU with identical entries.
+  // The staging-layout fields and the split only shape kOnline plans (and
+  // batch_columns only buffered ones); normalize the irrelevant
+  // combinations out of the key so option sweeps don't dilute the LRU with
+  // identical entries. The key holds the split itself, so option sets that
+  // resolve the same split share the entry.
   const bool buffered = scheme == Scheme::kOnline && opts.contiguous_buffering;
   const PlanKey key{n,
                     scheme,
                     opts.ra_method,
                     buffered,
                     buffered ? opts.batch_columns : 0,
-                    checksum::clamp_max_errors(opts.max_correctable_errors)};
+                    checksum::clamp_max_errors(opts.max_correctable_errors),
+                    scheme == Scheme::kOnline ? online_window_log2(n, opts)
+                                              : 0u};
   return registry().get_or_build(key, [&] {
     return std::make_shared<const ProtectionPlan>(n, scheme, opts);
   });
@@ -291,8 +310,7 @@ bool inject_plan_state(std::size_t n, const Options& opts, bool inplace) {
   // protection plan does not hold (its own registry seals it): its spans
   // follow the plan's, so campaigns can reach the stage twiddles too.
   std::shared_ptr<const fft::InplaceRadix2Plan> engine;
-  if (!inplace && opts.mode == Mode::kOnline && plan->window_log2() != 0 &&
-      window_schedule_covers(opts)) {
+  if (plan->window_log2() != 0) {
     engine = fft::InplaceRadix2Plan::get(n);
     engine->collect_state(s);
   }

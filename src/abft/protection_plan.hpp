@@ -54,7 +54,9 @@ class ProtectionPlan {
   ProtectionPlan(std::size_t n, Scheme scheme, const Options& opts);
 
   /// Cached resolution keyed on (n, scheme, checksum-relevant Options
-  /// fields: ra_method, contiguous_buffering, batch_columns). Thread-safe.
+  /// fields: ra_method, contiguous_buffering, batch_columns,
+  /// max_correctable_errors) and the kOnline split they resolve (see
+  /// window_log2). Thread-safe.
   static std::shared_ptr<const ProtectionPlan> get(std::size_t n,
                                                    Scheme scheme,
                                                    const Options& opts);
@@ -65,8 +67,8 @@ class ProtectionPlan {
   /// kOnline: first-layer sub-FFT size m in n = m*k. Unused otherwise.
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
   /// kOnline: log2(m) when the plan runs the window schedule (m = 2^w is a
-  /// window of InplaceRadix2Plan::get(n), see window_schedule_covers), 0
-  /// for the staged four-step split.
+  /// window of InplaceRadix2Plan::get(n); only plans resolved with options
+  /// window_schedule_covers accepts), 0 for the staged four-step split.
   [[nodiscard]] unsigned window_log2() const noexcept { return window_log2_; }
   /// kOnline: second-layer size k. kOnlineInplace: outer sub-FFT size k in
   /// n = k*r*k. kOffline: unused.
@@ -224,7 +226,8 @@ class ProtectionPlan {
 /// the passes of the shared power-of-two engine, with no staged transposes
 /// and no DMR twiddle (abft/online.cpp). It covers the fully optimized
 /// memory-fault-tolerant preset (FtPlan's default). Every other option set
-/// keeps the staged path on the same split: computational-only protection
+/// resolves a plan with the balanced split and runs the staged path:
+/// computational-only protection
 /// (whose coverage boundary pins input memory faults as undetected), the
 /// naive hierarchies, and backup_in_input (the window pass writes its backup
 /// while later windows still read the input). Options::fused_checksums

@@ -204,9 +204,10 @@ struct FftKernels {
   /// omega_N^(c * step) (the CCG; the products are exactly those of
   /// twiddle_multiply, recurrence included), the column duals
   /// s1[c] += y[c] and s2[c] += row * y[c], the column energies
-  /// e2[c] += |y[c]|^2 (in both slots of e2[c]), and backup[c] = y[c]. The
-  /// duals and energies round like column_checksums with w == nullptr; every
-  /// product is plain mul/add, so all backends are bitwise identical.
+  /// e2[c] += |y[c]|^2 (in both slots of e2[c]), and backup[c] = y[c] with
+  /// streaming stores (backup must be 32-byte aligned). The duals and
+  /// energies round like column_checksums with w == nullptr; every product
+  /// is plain mul/add, so all backends are bitwise identical.
   void (*window_epilogue)(const cplx* y, std::size_t len, std::size_t n,
                           std::size_t step, cplx scale, double row, cplx* acc,
                           cplx* s1, cplx* s2, cplx* e2, cplx* backup);

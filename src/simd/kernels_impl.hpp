@@ -11,6 +11,7 @@
 // Included only by the kernels_*.cpp backend TUs.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -1327,10 +1328,10 @@ void k_twiddle_multiply(const cplx* src, std::size_t stride, cplx* dst,
 /// FftKernels::window_epilogue): one pass over y[0, len), len a multiple
 /// of four. The CCG products are twiddle_multiply's exactly: the same block
 /// seeds, the same recurrence, the same w * x rounding. B resync blocks run
-/// interleaved, as in twiddle_blocks. Stream: the backup copy bypasses the
-/// cache (it is only read again on recovery, and write-allocating it would
-/// evict the column arrays the next window updates).
-template <class V, std::size_t B, bool Stream>
+/// interleaved, as in twiddle_blocks. The backup copy bypasses the cache
+/// (it is only read again on recovery, and write-allocating it would evict
+/// the column arrays the next window updates).
+template <class V, std::size_t B>
 void window_epilogue_blocks(const cplx* y, std::size_t i0, std::size_t len,
                             std::size_t n, std::size_t step, cplx scale,
                             cplx base, V base4, double row, cplx* acc,
@@ -1350,11 +1351,7 @@ void window_epilogue_blocks(const cplx* y, std::size_t i0, std::size_t len,
       for (std::size_t v = 0; v < kVecs; ++v) {
         const std::size_t e = i0 + b * kTwiddleResync + j + v * W;
         const V x = V::load(y + e);
-        if constexpr (Stream) {
-          x.store_stream(backup + e);
-        } else {
-          x.store(backup + e);
-        }
+        x.store_stream(backup + e);
         (V::load(acc + e) + w[b][v].cmul_nofma(x)).store(acc + e);
         w[b][v] = w[b][v].cmul_nofma(base4);
         (V::load(s1 + e) + x).store(s1 + e);
@@ -1365,37 +1362,25 @@ void window_epilogue_blocks(const cplx* y, std::size_t i0, std::size_t len,
   }
 }
 
-template <class V, bool Stream>
-void window_epilogue_t(const cplx* y, std::size_t len, std::size_t n,
+template <class V>
+void k_window_epilogue(const cplx* y, std::size_t len, std::size_t n,
                        std::size_t step, cplx scale, double row, cplx* acc,
                        cplx* s1, cplx* s2, cplx* e2, cplx* backup) {
+  assert(reinterpret_cast<std::uintptr_t>(backup) % V::kStreamAlign == 0);
   constexpr std::size_t R = kTwiddleResync;
   const cplx base = omega(n, step);
   const V base4 =
       V::broadcast(omega(n, 4 * static_cast<std::uint64_t>(step)));
   std::size_t i0 = 0;
   for (; i0 + 2 * R <= len; i0 += 2 * R) {
-    window_epilogue_blocks<V, 2, Stream>(y, i0, len, n, step, scale, base,
-                                         base4, row, acc, s1, s2, e2, backup);
+    window_epilogue_blocks<V, 2>(y, i0, len, n, step, scale, base, base4,
+                                 row, acc, s1, s2, e2, backup);
   }
   for (; i0 < len; i0 += R) {
-    window_epilogue_blocks<V, 1, Stream>(y, i0, len, n, step, scale, base,
-                                         base4, row, acc, s1, s2, e2, backup);
+    window_epilogue_blocks<V, 1>(y, i0, len, n, step, scale, base, base4,
+                                 row, acc, s1, s2, e2, backup);
   }
-}
-
-template <class V>
-void k_window_epilogue(const cplx* y, std::size_t len, std::size_t n,
-                       std::size_t step, cplx scale, double row, cplx* acc,
-                       cplx* s1, cplx* s2, cplx* e2, cplx* backup) {
-  if (reinterpret_cast<std::uintptr_t>(backup) % V::kStreamAlign == 0) {
-    window_epilogue_t<V, true>(y, len, n, step, scale, row, acc, s1, s2, e2,
-                               backup);
-    V::stream_fence();
-  } else {
-    window_epilogue_t<V, false>(y, len, n, step, scale, row, acc, s1, s2, e2,
-                                backup);
-  }
+  V::stream_fence();
 }
 
 /// First i with a[i] != b[i] under complex != (a NaN slot mismatches,

@@ -329,7 +329,7 @@ namespace {
 // The second layer runs in tiles of plan.layer2_cols() staged columns.
 // Faults on the first and last column of a tile, and on the last column
 // overall, must be handled with the same counters as anywhere else. The
-// sizes run the staged split with its DMR twiddle: powers of two from 2^15
+// sizes run the staged split with its DMR twiddle: powers of two from 2^14
 // on run the window schedule instead (test_window_schedule.cpp).
 struct TileCase {
   std::size_t n;

@@ -374,7 +374,7 @@ TEST(SimdDmr, FusedSumIsTheWeightedSumEnergyOfTheProducts) {
 // The window epilogue equals its separate passes bit for bit on every
 // backend: the CCG products are twiddle_multiply's, the duals and energies
 // are accumulate_column_checksums' (energies in both slots), and the backup
-// is a copy, whether or not the backup is aligned for streaming stores.
+// is a (streamed) copy.
 TEST(SimdWindow, EpilogueEqualsItsSeparatePassesOnEveryBackend) {
   BackendGuard guard;
   const std::size_t n = 1 << 22;
@@ -398,28 +398,23 @@ TEST(SimdWindow, EpilogueEqualsItsSeparatePassesOnEveryBackend) {
       checksum::accumulate_column_checksums(y.data(), 1, len, 37, nullptr,
                                             want_s1.data(), want_s2.data(),
                                             want_e.data());
-      for (const std::size_t offset : {0, 1}) {  // aligned, then not
-        std::vector<cplx> acc = acc0, s1 = s10, s2 = s20;
-        std::vector<cplx> e2(len, cplx{0.5, 0.5});
-        AlignedBuffer<cplx> backup(len + 1);
-        simd::fft_kernels().window_epilogue(y.data(), len, n, step, scale, row,
-                                            acc.data(), s1.data(), s2.data(),
-                                            e2.data(),
-                                            backup.data() + offset);
-        const std::vector<cplx> copied(backup.data() + offset,
-                                       backup.data() + offset + len);
-        std::vector<double> e(len);
-        bool dup = true;
-        for (std::size_t c = 0; c < len; ++c) {
-          e[c] = e2[c].real();
-          dup = dup && e2[c].imag() == e2[c].real();
-        }
-        EXPECT_TRUE(same_bits(acc, want_acc) && same_bits(s1, want_s1) &&
-                    same_bits(s2, want_s2) && same_bits(e, want_e) && dup &&
-                    same_bits(copied, y))
-            << "len=" << len << " offset=" << offset
-            << " backend=" << simd::backend_name(b);
+      std::vector<cplx> acc = acc0, s1 = s10, s2 = s20;
+      std::vector<cplx> e2(len, cplx{0.5, 0.5});
+      AlignedBuffer<cplx> backup(len);
+      simd::fft_kernels().window_epilogue(y.data(), len, n, step, scale, row,
+                                          acc.data(), s1.data(), s2.data(),
+                                          e2.data(), backup.data());
+      const std::vector<cplx> copied(backup.data(), backup.data() + len);
+      std::vector<double> e(len);
+      bool dup = true;
+      for (std::size_t c = 0; c < len; ++c) {
+        e[c] = e2[c].real();
+        dup = dup && e2[c].imag() == e2[c].real();
       }
+      EXPECT_TRUE(same_bits(acc, want_acc) && same_bits(s1, want_s1) &&
+                  same_bits(s2, want_s2) && same_bits(e, want_e) && dup &&
+                  same_bits(copied, y))
+          << "len=" << len << " backend=" << simd::backend_name(b);
     }
   }
 }

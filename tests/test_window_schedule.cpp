@@ -205,6 +205,37 @@ TEST(OnlineFaultFree, MarginsAt2p18Over64Seeds) {
   }
 }
 
+// Only the option sets the window schedule covers resolve its split; the
+// staged presets keep the balanced split (and its eta_m) at every size.
+TEST(WindowSplit, StagedPresetsKeepTheBalancedSplit) {
+  for (unsigned log2n = 10; log2n <= 22; ++log2n) {
+    const std::size_t n = std::size_t{1} << log2n;
+    for (const Options& o : {Options::online_opt(false),
+                             Options::online_naive(true),
+                             Options::online_naive(false)}) {
+      ASSERT_FALSE(abft::window_schedule_covers(o));
+      const auto plan = abft::ProtectionPlan::get(n, abft::Scheme::kOnline, o);
+      EXPECT_EQ(plan->window_log2(), 0u) << "n=" << n;
+      EXPECT_EQ(plan->m(), balanced_split(n).first) << "n=" << n;
+    }
+    Options in_input = Options::online_opt(true);
+    in_input.backup_in_input = true;
+    EXPECT_EQ(abft::ProtectionPlan::get(n, abft::Scheme::kOnline, in_input)
+                  ->m(),
+              balanced_split(n).first)
+        << "n=" << n;
+  }
+}
+
+// 2^14, the smallest size on the window schedule (m = 2^6, k = 2^8), is a
+// serving size: check it as widely as 2^18.
+TEST(OnlineFaultFree, MarginsAt2p14Over64Seeds) {
+  for (std::uint64_t s = 0; s < 64; ++s) {
+    check_fault_free(std::size_t{1} << 14, Family::kUniform, 77 + s);
+    check_fault_free(std::size_t{1} << 14, Family::kGaussian, 77 + s);
+  }
+}
+
 // --------------------------------------------------- one fault per phase
 
 class WindowSchedule : public ::testing::TestWithParam<std::size_t> {
@@ -378,7 +409,8 @@ TEST_P(WindowSchedule, FlippedTailTwiddleIsNeverSilent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, WindowSchedule,
-                         ::testing::Values(std::size_t{1} << 15,
+                         ::testing::Values(std::size_t{1} << 14,
+                                           std::size_t{1} << 15,
                                            std::size_t{1} << 16,
                                            std::size_t{1} << 18),
                          [](const ::testing::TestParamInfo<std::size_t>& pi) {
