@@ -17,6 +17,16 @@
 // permutation that restores natural output order is then an involution, so
 // it runs in place as swaps (tile pairs of a k x k transpose). When r == 1
 // the middle layer vanishes (Fig. 6 "omitted when r = 1").
+//
+// Which in-place calls run this scheme: inplace_online_transform always
+// (the sharded FFT2 calls it directly). FtPlan::forward_inplace,
+// protected_transform_inplace and the batch engine's in-place lanes run it
+// unless the window schedule covers the call (a power of two from 2^14 on
+// under the options window_schedule_covers accepts); those calls run the
+// out-of-place scheme's window schedule in place instead (online.hpp).
+// Memory: this scheme stages O(sqrt(n) * r) elements per thread; the
+// in-place window schedule holds a per-thread n-element backup (the one
+// FtPlan::forward uses) and an m-element window stash.
 #pragma once
 
 #include <cstddef>

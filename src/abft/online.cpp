@@ -32,8 +32,9 @@ double sigma_from_energy(double energy, std::size_t n) {
 
 /// Per-thread buffers reused by every call on this thread: grown on demand,
 /// never shrunk. kBackup parks the intermediate for the postponed MCV;
-/// kStaging holds the layer-1 gather block, the layer-2 column stages and
-/// finalize's recompute buffers, one phase at a time. Per-call vectors
+/// kStaging holds the layer-1 gather block (the in-place window stash on
+/// the window schedule), the layer-2 column stages and finalize's recompute
+/// buffers, one phase at a time. Per-call vectors
 /// page-faulted their zero-filled pages on every large transform.
 enum class Scratch { kBackup, kStaging };
 
@@ -73,6 +74,7 @@ class OnlineRun {
             const Options& opts, Stats& stats)
       : x_(in),
         out_(out),
+        inplace_(in == out),
         plan_(plan),
         n_(plan.n()),
         m_(plan.m()),
@@ -85,6 +87,8 @@ class OnlineRun {
     // memory checksum *is* the computational one (section 4.1 + 4.2).
     postpone1_ = opts_.postpone_mcv && opts_.combined_checksums;
     windowed_ = plan_.window_log2() != 0 && window_schedule_covers(opts_);
+    detail::require(windowed_ || !inplace_,
+                    "online_transform: in == out needs the window schedule");
   }
 
   void run() {
@@ -113,13 +117,13 @@ class OnlineRun {
       checksum::input_cmcg(x_, m_, k_,
                            opts_.combined_checksums ? cm_ : nullptr,
                            plan_.syndrome_moments(), s1_, s2_, e_in_, syn1_,
-                           windowed_ ? out_ : nullptr);
+                           windowed_ && !inplace_ ? out_ : nullptr);
     } else {
       e_in_.assign(k_, 0.0);
     }
     if (inj() != nullptr &&
         inj()->apply(Phase::kInputAfterChecksum, 0, x_, n_) > 0 &&
-        windowed_) {
+        windowed_ && !inplace_) {
       // The transform must read the corrupted input, as it would without
       // the fused copy.
       std::memcpy(static_cast<void*>(out_), x_, n_ * sizeof(cplx));
@@ -139,17 +143,24 @@ class OnlineRun {
   // remaining passes are the k-point second layer with its twiddles inside
   // the butterflies; the final sweep checks every column. Fault-free, the
   // output equals fft::Fft(n).execute bit for bit.
+  //
+  // In place (x_ == out_) the permutation overwrites the only copy of the
+  // input, so each window is stashed before its stages run: the stash is
+  // slot i's input in bit-reversed order, from which a failed window is
+  // repaired and rerun. The opener then runs per window (plain COBRA), so
+  // the stash holds the input itself rather than the opener's output.
   void window_layers() {
     engine_ = fft::InplaceRadix2Plan::get(n_);
     const fft::InplaceRadix2Plan& eng = *engine_;
     const unsigned w = plan_.window_log2();
     const unsigned kbits = log2_floor(k_);
-    const bool opener_fused = eng.cobra_enabled();
+    const bool opener_fused = !inplace_ && eng.cobra_enabled();
     if (opener_fused) {
       eng.permute_cobra_fused_opener(out_);
     } else {
-      eng.permute_pairswap(out_);
+      eng.permute_cobra(out_);  // the pair-swap walk below the COBRA size
     }
+    stash_ = inplace_ ? scratch<Scratch::kStaging>(m_) : nullptr;
     // The four column arrays the epilogue updates: the CCG, the column
     // duals of the intermediate and their energies (both slots).
     const std::size_t stride = m_ + kColumnPad;
@@ -163,6 +174,9 @@ class OnlineRun {
     for (std::size_t win = 0; win < k_; ++win) {
       const std::size_t i = fft::reverse_bits(win, kbits);
       cplx* y = out_ + win * m_;
+      if (inplace_) {
+        std::memcpy(static_cast<void*>(stash_), y, m_ * sizeof(cplx));
+      }
       eng.forward_window(y, w, /*include_opener=*/!opener_fused);
       verify_window(i, y);
       // CCG of the second layer, acc[c] += ck[i] * omega_n^(i*c) * y[c],
@@ -178,8 +192,9 @@ class OnlineRun {
   }
 
   // Layer-1 check of window y (slot i). A mismatch re-verifies the input
-  // slot (repairing a memory error), regathers the window from x_ and
-  // reruns its stages; the clean path copies nothing.
+  // slot (repairing a memory error), regathers the window from x_ (in
+  // place: restores it from the stash) and reruns its stages; the clean
+  // path copies nothing.
   void verify_window(std::size_t i, cplx* y) {
     const double eta =
         opts_.eta_override > 0.0
@@ -202,12 +217,36 @@ class OnlineRun {
             "online ABFT: m-point sub-FFT kept failing verification");
       }
       ++stats_.sub_fft_retries;
-      if (!verify_and_repair_input(i)) ++stats_.comp_errors_detected;
-      for (std::size_t u = 0; u < m_; ++u) {
-        y[u] = x_[fft::reverse_bits(u, w) * k_ + i];
+      if (inplace_) {
+        if (!repair_stash(i)) ++stats_.comp_errors_detected;
+        std::memcpy(static_cast<void*>(y), stash_, m_ * sizeof(cplx));
+      } else {
+        if (!verify_and_repair_input(i, x_ + i, k_)) {
+          ++stats_.comp_errors_detected;
+        }
+        for (std::size_t u = 0; u < m_; ++u) {
+          y[u] = x_[fft::reverse_bits(u, w) * k_ + i];
+        }
       }
       engine_->forward_window(y, w, /*include_opener=*/true);
     }
+  }
+
+  // Verifies slot i's stashed input against its duals (or 2t syndromes),
+  // which index it in natural order: the stash is un-bit-reversed into a
+  // natural-order buffer, repaired there and permuted back. Returns true if
+  // a corruption was found and fixed.
+  bool repair_stash(std::size_t i) {
+    const unsigned w = plan_.window_log2();
+    std::vector<cplx> slot(m_);
+    for (std::size_t t = 0; t < m_; ++t) {
+      slot[t] = stash_[fft::reverse_bits(t, w)];
+    }
+    if (!verify_and_repair_input(i, slot.data(), 1)) return false;
+    for (std::size_t u = 0; u < m_; ++u) {
+      stash_[u] = slot[fft::reverse_bits(u, w)];
+    }
+    return true;
   }
 
   void window_finalize() {
@@ -381,7 +420,9 @@ class OnlineRun {
 
     if (have_cmcg && !postpone1_) {
       // Naive hierarchy (Fig. 2): verify the input slot before use.
-      if (verify_and_repair_input(i) && buf != nullptr) regather(i, buf);
+      if (verify_and_repair_input(i, x_ + i, k_) && buf != nullptr) {
+        regather(i, buf);
+      }
     }
 
     bool have_ccg = false;
@@ -452,7 +493,7 @@ class OnlineRun {
       ++stats_.sub_fft_retries;
       if (opts_.memory_ft) {
         // Postponed discrimination: is the input slot itself corrupted?
-        const bool repaired = verify_and_repair_input(i);
+        const bool repaired = verify_and_repair_input(i, x_ + i, k_);
         if (repaired) {
           if (buf != nullptr) regather(i, buf);
           if (!opts_.combined_checksums) {
@@ -484,11 +525,12 @@ class OnlineRun {
     for (std::size_t t = 0; t < m_; ++t) buf[t] = x_[t * k_ + i];
   }
 
-  /// Recomputes the stored input checksums of sub-FFT slot i over the
-  /// (strided) input and repairs a localized memory error (iterating until
-  /// the residual clears the threshold). Returns true if a corruption was
-  /// found and fixed.
-  bool verify_and_repair_input(std::size_t i) {
+  /// Recomputes the stored input checksums of sub-FFT slot i over its m
+  /// input elements slot[0], slot[stride], ... (natural order) and repairs
+  /// a localized memory error (iterating until the residual clears the
+  /// threshold). Returns true if a corruption was found and fixed.
+  bool verify_and_repair_input(std::size_t i, cplx* slot,
+                               std::size_t stride) {
     const cplx* weights = opts_.combined_checksums ? cm_ : nullptr;
     const double sigma_i = sigma_from_energy(e_in_[i], m_);
     const double eta_mem =
@@ -508,7 +550,7 @@ class OnlineRun {
       // syndrome decoder checks every hypothesis against all 2t moments and
       // decodes the burst at its true count.
       const auto mrep = checksum::repair_errors(
-          syn1_[i], x_ + i, k_, weights, m_, eta_mem, plan_.max_errors(),
+          syn1_[i], slot, stride, weights, m_, eta_mem, plan_.max_errors(),
           /*max_iters=*/6, plan_.syndrome_nodes_m());
       mismatch = mrep.mismatch;
       corrected = mrep.corrected;
@@ -517,8 +559,8 @@ class OnlineRun {
       }
     } else {
       const auto rep = checksum::repair_single_error(
-          checksum::DualSum{s1_[i], s2_[i]}, x_ + i, k_, weights, m_, eta_mem,
-          opts_.max_retries);
+          checksum::DualSum{s1_[i], s2_[i]}, slot, stride, weights, m_,
+          eta_mem, opts_.max_retries);
       mismatch = rep.mismatch;
       corrected = rep.corrected;
     }
@@ -815,7 +857,8 @@ class OnlineRun {
   fault::Injector* inj() const { return opts_.injector; }
 
   cplx* x_;
-  cplx* out_;
+  cplx* out_;                        // == x_ for an in-place window run
+  bool inplace_;
   const ProtectionPlan& plan_;
   std::size_t n_, m_, k_;
   const cplx* cm_;                   // input checksum vectors (sizes m, k),
@@ -846,6 +889,7 @@ class OnlineRun {
   cplx* o1w_ = nullptr;              // column duals of the intermediate
   cplx* o2w_ = nullptr;
   std::shared_ptr<const fft::InplaceRadix2Plan> engine_;  // window schedule
+  cplx* stash_ = nullptr;  // in place: the current window's input (m_)
 };
 
 }  // namespace

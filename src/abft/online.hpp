@@ -21,6 +21,13 @@
 // m-point sub-FFT, checked while in cache; the engine's tail is the k-point
 // layer with its twiddles in the butterflies, checked per column at the
 // end. No DMR twiddle and no staged transpose remain on that path.
+//
+// The window schedule also runs in place (in == out): the in-place entry
+// points route the calls it covers here (protected_fft.hpp), and each
+// window's input is stashed before its stages run, so a failed window is
+// repaired and rerun from the stash. Memory on the window schedule: a
+// per-thread n-element backup of the intermediate, the per-call column
+// arrays (4 * m elements) and, in place, a per-thread m-element stash.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +42,9 @@ class ProtectionPlan;
 /// Protected out-of-place forward DFT under Mode::kOnline semantics.
 ///
 /// Requirements: n composite with a split n = m*k, m,k >= 2, and neither
-/// factor divisible by 3 (always true for powers of two). `in` is non-const:
+/// factor divisible by 3 (always true for powers of two). in == out is
+/// allowed only on the window schedule (a plan with window_log2() != 0 and
+/// options window_schedule_covers accepts). `in` is non-const:
 /// memory-fault corrections repair it, and when
 /// opts.memory_ft && opts.postpone_mcv && opts.backup_in_input the
 /// intermediate result is parked in it (the paper's zero-extra-memory

@@ -78,13 +78,21 @@ void protected_transform_inplace(cplx* data, std::size_t n,
       protected_transform(copy.data(), data, n, opts, stats, plan);
       return;
     }
-    case Mode::kOnline:
-      if (plan != nullptr) {
-        inplace_online_transform(data, *plan, opts, stats);
+    case Mode::kOnline: {
+      // Covered powers of two resolve the window schedule's kOnline plan
+      // (resolve_protection_plan), which runs in place with in == out.
+      std::shared_ptr<const ProtectionPlan> resolved;
+      if (plan == nullptr) {
+        resolved = resolve_protection_plan(n, opts, /*inplace=*/true);
+        plan = resolved.get();
+      }
+      if (plan->scheme() == Scheme::kOnline) {
+        online_transform(data, data, *plan, opts, stats);
       } else {
-        inplace_online_transform(data, n, opts, stats);
+        inplace_online_transform(data, *plan, opts, stats);
       }
       return;
+    }
   }
 }
 

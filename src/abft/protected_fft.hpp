@@ -26,13 +26,15 @@ void protected_transform(cplx* in, cplx* out, std::size_t n,
                          const Options& opts, Stats& stats,
                          const ProtectionPlan* plan = nullptr);
 
-/// In-place forward DFT with the protection selected in `opts`: the k*r*k
-/// scheme (section 5) for kOnline, staging through an internal copy for
-/// kOffline (whose restart needs an intact input), plain in-place FFT for
-/// kNone. Natural-order output. Shared by FtPlan::forward_inplace and the
-/// batch engine so the mode dispatch lives in exactly one place. For
-/// kOffline, `plan` must be a Scheme::kOffline plan (see
-/// resolve_protection_plan with inplace = true).
+/// In-place forward DFT with the protection selected in `opts`. kOnline
+/// runs the window schedule in place (online.hpp) for powers of two from
+/// 2^14 on under the options window_schedule_covers accepts, and the k*r*k
+/// scheme (section 5, inplace.hpp) otherwise; kOffline stages through an
+/// internal copy (its restart needs an intact input); kNone is the plain
+/// in-place FFT. Natural-order output. Shared by FtPlan::forward_inplace
+/// and the batch engine so the mode dispatch lives in exactly one place.
+/// `plan`, when given, must be the plan resolve_protection_plan returns
+/// with inplace = true; its scheme selects the executor.
 void protected_transform_inplace(cplx* data, std::size_t n,
                                  const Options& opts, Stats& stats,
                                  const ProtectionPlan* plan = nullptr);

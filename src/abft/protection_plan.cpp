@@ -289,8 +289,13 @@ std::shared_ptr<const ProtectionPlan> resolve_protection_plan(
     case Mode::kOffline:
       return ProtectionPlan::get(n, Scheme::kOffline, opts);
     case Mode::kOnline:
+      // The window schedule runs in place too: a covered in-place call
+      // shares the out-of-place kOnline plan.
       return ProtectionPlan::get(
-          n, inplace ? Scheme::kOnlineInplace : Scheme::kOnline, opts);
+          n,
+          inplace && online_window_log2(n, opts) == 0 ? Scheme::kOnlineInplace
+                                                      : Scheme::kOnline,
+          opts);
   }
   return nullptr;  // unreachable; keeps GCC's -Wreturn-type quiet
 }

@@ -160,8 +160,11 @@ class FtPlan {
   /// Convenience overload: copies the input, returns the spectrum.
   [[nodiscard]] std::vector<cplx> forward(std::vector<cplx> input);
 
-  /// Protected in-place forward DFT (the k*r*k scheme of section 5 when
-  /// protection is kOnline; plain/offline otherwise). Natural-order output.
+  /// Protected in-place forward DFT. With kOnline protection, the default
+  /// optimized memory-FT configuration runs the window schedule in place
+  /// for powers of two from 2^14 on (with forward()'s per-thread n-element
+  /// backup), and every other size or configuration the k*r*k scheme of
+  /// section 5; plain/offline otherwise. Natural-order output.
   void forward_inplace(cplx* data);
 
   /// Protected inverse DFT (1/n normalized), implemented as the conjugate

@@ -71,10 +71,11 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
   if (protect) {
     cp_ = checksum::shared_input_checksum_vector(
         p_, checksum::RaGenMethod::kClosedForm);
-    // Same cache entry abft::resolve_protection_plan yields for the
-    // in-place entry point under online options (the kOnlineInplace key
-    // normalizes the buffering fields away), so the execution-time lookup
-    // is a guaranteed hit.
+    // Same cache entry abft::inplace_online_transform(data, n, opts, ...)
+    // resolves under online options (the kOnlineInplace key normalizes the
+    // buffering fields away), so the execution-time lookup is a guaranteed
+    // hit. FFT2 keeps the k*r*k scheme even at slice sizes where the
+    // in-place entry points run the window schedule.
     abft::Options fft2_opts = abft::Options::online_opt(true);
     fft2_opts.max_correctable_errors = max_errors_;
     fft2_ = abft::ProtectionPlan::get(n_loc_, abft::Scheme::kOnlineInplace,

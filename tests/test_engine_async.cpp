@@ -162,10 +162,15 @@ TEST(AsyncEngine, SmallJobQueuedBehindLargeOneCompletesOutOfOrder) {
   // Workers advance to the next queued job as soon as the front job's
   // lanes are all claimed, so a tiny job queued behind a heavyweight one
   // overtakes the stragglers — completion order is by finish, not FIFO.
+  // Three big lanes on two workers: the two workers finish lanes 0 and 1
+  // together, the first claims lane 2 and the second the small job, which
+  // then runs while lane 2 has a whole lane time left. (With an even lane
+  // count both workers end on a big lane, and the order came down to their
+  // start jitter.)
   const std::size_t big_n = 1 << 17;
   const std::size_t small_n = 64;
   const abft::Options opts = abft::Options::online_opt(true);
-  Workload big(4, big_n, 4100);
+  Workload big(3, big_n, 4100);
   Workload small(1, small_n, 4200);
 
   std::mutex order_mu;
@@ -180,7 +185,7 @@ TEST(AsyncEngine, SmallJobQueuedBehindLargeOneCompletesOutOfOrder) {
   engine::BatchEngine eng(2);
   engine::BatchOptions big_opts;
   big_opts.abft = opts;
-  big_opts.chunk = 1;  // final big lane is claimed alone: a wide window
+  big_opts.chunk = 1;  // one lane per claim
   engine::BatchOptions small_opts;
   small_opts.abft = opts;
   auto fb = eng.submit_batch(big.lanes, big_n, big_opts);
