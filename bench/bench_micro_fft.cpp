@@ -62,8 +62,11 @@ BENCHMARK_CAPTURE(BM_FftInplaceRadix2, dispatched, true)
     ->RangeMultiplier(4)
     ->Range(1 << 10, 1 << 20);
 
-// The retained PR 4 schedule (pair-swap permute + radix-4 stages): the
-// optimized/reference row pair at equal size is the PR 5 speedup.
+// The retained reference schedule (radix-4 stages behind the plan's own
+// bit-reversal walk): the optimized/reference row pair at equal size is the
+// optimized stage schedule's speedup; above the COBRA threshold both rows
+// permute with COBRA, so COBRA's own gain shows in the BM_InplacePermute
+// rows.
 void BM_FftInplaceRadix2Reference(benchmark::State& state) {
   use_backend(state, true);
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -89,6 +92,12 @@ void BM_InplacePermute(benchmark::State& state, int mode, bool dispatched) {
   const auto plan = fft::InplaceRadix2Plan::get(n);
   if (mode > 0 && !plan->cobra_enabled()) {
     state.SkipWithError("COBRA disabled at this size (below threshold)");
+    return;
+  }
+  if (mode == 0 && plan->cobra_enabled()) {
+    // The plan builds its pair-swap table only below the COBRA threshold;
+    // FTFFT_COBRA_MIN_LOG2 raises the threshold to time this row.
+    state.SkipWithError("COBRA enabled at this size (no pair-swap table)");
     return;
   }
   auto x = random_vector(n, InputDistribution::kUniform, 6);

@@ -18,9 +18,9 @@
 // it runs in place as swaps (tile pairs of a k x k transpose). When r == 1
 // the middle layer vanishes (Fig. 6 "omitted when r = 1").
 //
-// Which in-place calls run this scheme: inplace_online_transform always
-// (the sharded FFT2 calls it directly). FtPlan::forward_inplace,
-// protected_transform_inplace and the batch engine's in-place lanes run it
+// Which in-place calls run this scheme: inplace_online_transform always.
+// FtPlan::forward_inplace, the batch engine's in-place lanes and the
+// sharded FFT2 all go through protected_transform_inplace, which runs it
 // unless the window schedule covers the call (a power of two from 2^14 on
 // under the options window_schedule_covers accepts); those calls run the
 // out-of-place scheme's window schedule in place instead (online.hpp).

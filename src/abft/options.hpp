@@ -51,10 +51,6 @@ struct Options {
   /// so checksum and transform read the data once from cache.
   bool contiguous_buffering = true;
 
-  /// Batch size s of second-layer k-point FFTs processed together (0 = pick
-  /// from cache size).
-  std::size_t batch_columns = 0;
-
   /// Fuse the checksum dot products into the FFT passes (TurboFFT-style,
   /// PR 6): sub-FFTs with a power-of-two size >= 8 run through
   /// InplaceRadix2Plan::forward_fused, which accumulates the input rA dot

@@ -25,7 +25,6 @@ struct PlanKey {
   Scheme scheme;
   checksum::RaGenMethod ra_method;
   bool contiguous_buffering;
-  std::size_t batch_columns;
   int max_errors;
   unsigned window_log2;
   bool operator==(const PlanKey&) const = default;
@@ -37,7 +36,6 @@ struct PlanKeyHash {
     h = h * 31 + static_cast<std::size_t>(key.scheme);
     h = h * 31 + static_cast<std::size_t>(key.ra_method);
     h = h * 31 + static_cast<std::size_t>(key.contiguous_buffering);
-    h = h * 31 + key.batch_columns;
     h = h * 31 + static_cast<std::size_t>(key.max_errors);
     h = h * 31 + key.window_log2;
     return h;
@@ -209,10 +207,7 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
         layer1_batch_ = std::clamp<std::size_t>(
             kStageElems / m_, std::min<std::size_t>(4, k_), k_);
         layer2_cols_ = std::clamp<std::size_t>(
-            opts.batch_columns != 0
-                ? opts.batch_columns
-                : kStageElems / std::max<std::size_t>(k_, 1),
-            1, m_);
+            kStageElems / std::max<std::size_t>(k_, 1), 1, m_);
       }
       if (max_errors_ > 1) {
         sn_m_ = checksum::shared_syndrome_nodes(m_);
@@ -246,17 +241,15 @@ ProtectionPlan::ProtectionPlan(std::size_t n, Scheme scheme,
 std::shared_ptr<const ProtectionPlan> ProtectionPlan::get(std::size_t n,
                                                           Scheme scheme,
                                                           const Options& opts) {
-  // The staging-layout fields and the split only shape kOnline plans (and
-  // batch_columns only buffered ones); normalize the irrelevant
-  // combinations out of the key so option sweeps don't dilute the LRU with
-  // identical entries. The key holds the split itself, so option sets that
-  // resolve the same split share the entry.
+  // The staging layout and the split only shape kOnline plans; normalize
+  // the irrelevant combinations out of the key so option sweeps don't
+  // dilute the LRU with identical entries. The key holds the split itself,
+  // so option sets that resolve the same split share the entry.
   const bool buffered = scheme == Scheme::kOnline && opts.contiguous_buffering;
   const PlanKey key{n,
                     scheme,
                     opts.ra_method,
                     buffered,
-                    buffered ? opts.batch_columns : 0,
                     checksum::clamp_max_errors(opts.max_correctable_errors),
                     scheme == Scheme::kOnline ? online_window_log2(n, opts)
                                               : 0u};

@@ -54,9 +54,8 @@ class ProtectionPlan {
   ProtectionPlan(std::size_t n, Scheme scheme, const Options& opts);
 
   /// Cached resolution keyed on (n, scheme, checksum-relevant Options
-  /// fields: ra_method, contiguous_buffering, batch_columns,
-  /// max_correctable_errors) and the kOnline split they resolve (see
-  /// window_log2). Thread-safe.
+  /// fields: ra_method, contiguous_buffering, max_correctable_errors) and
+  /// the kOnline split they resolve (see window_log2). Thread-safe.
   static std::shared_ptr<const ProtectionPlan> get(std::size_t n,
                                                    Scheme scheme,
                                                    const Options& opts);

@@ -48,16 +48,6 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
   }
   log2n_ = log2_floor(n);
   block_log2_ = tuning.block_log2;
-  // Store only the swap pairs (i, rev(i)) with i < rev(i) so the permutation
-  // pass touches each element once.
-  bit_reverse_.reserve(n / 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t rev = reverse_bits(i, log2n_);
-    if (i < rev) {
-      bit_reverse_.push_back(i);
-      bit_reverse_.push_back(rev);
-    }
-  }
   // Pack the fused radix-4 schedule's per-stage twiddles contiguously in j
   // (see FusedStage). Values are copies out of one omega_n^k table (k < n/2),
   // so the scalar backend computes bit-identical results to the historic
@@ -124,9 +114,24 @@ InplaceRadix2Plan::InplaceRadix2Plan(std::size_t n,
         std::make_unique<CobraBitReversal>(log2n_, tuning.cobra_tile_bits);
     if (cobra->tile_bits() >= 2) cobra_ = std::move(cobra);
   }
+  // Below it, the swap pairs (i, rev(i)) with i < rev(i), so the pair-swap
+  // walk touches each element once (above it, unread: 32 MiB at 2^22).
+  if (!cobra_) {
+    bit_reverse_.reserve(n / 2);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t rev = reverse_bits(i, log2n_);
+      if (i < rev) {
+        bit_reverse_.push_back(i);
+        bit_reverse_.push_back(rev);
+      }
+    }
+  }
 }
 
 void InplaceRadix2Plan::permute_pairswap(cplx* data) const {
+  if (cobra_) {
+    throw std::logic_error("permute_pairswap: plan uses COBRA, no table");
+  }
   for (std::size_t p = 0; p + 1 < bit_reverse_.size(); p += 2) {
     std::swap(data[bit_reverse_[p]], data[bit_reverse_[p + 1]]);
   }
@@ -152,7 +157,7 @@ void InplaceRadix2Plan::permute_cobra_fused_opener(cplx* data) const {
 }
 
 void InplaceRadix2Plan::run_radix4_reference(cplx* data, bool inverse) const {
-  permute_pairswap(data);
+  permute_cobra(data);  // no arithmetic: any exact walk keeps it bit-exact
   // Fused stages s and s+1: one pass performs the radix-2 butterflies of
   // both levels while the four quarter elements are in registers. Within a
   // block of len = 2^(s+1), butterfly j uses

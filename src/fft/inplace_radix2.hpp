@@ -11,8 +11,8 @@
 //
 // Execution paths:
 //   * forward_radix4_reference() / inverse_radix4_reference(): the PR 4
-//     schedule — pair-swap permutation, fused radix-4 stages (cache-blocked
-//     for len <= the window), whole-array radix-4 passes for the tail, and a
+//     schedule — bit-reversal, fused radix-4 stages (cache-blocked for
+//     len <= the window), whole-array radix-4 passes for the tail, and a
 //     separate 1/n sweep on the inverse. Retained as the bit-exact reference
 //     for the optimized path.
 //   * forward() / inverse() / forward_copy(): the memory-optimized path,
@@ -158,8 +158,8 @@ class InplaceRadix2Plan {
   /// Inverse DFT (1/n normalized) in place.
   void inverse(cplx* data) const;
 
-  /// The retained PR 4 schedule (pair-swap permute + radix-4 stages); the
-  /// optimized forward()/inverse() must match these bit-for-bit.
+  /// The retained reference schedule (bit-reversal + radix-4 stages);
+  /// the optimized forward()/inverse() must match these bit-for-bit.
   void forward_radix4_reference(cplx* data) const;
   void inverse_radix4_reference(cplx* data) const;
 
@@ -169,7 +169,7 @@ class InplaceRadix2Plan {
   // Isolated pipeline pieces, exposed for benches (permute-only and
   // per-stage-group timing rows in bench_micro_fft) and property tests.
 
-  /// Pair-swap bit-reversal permutation (the reference walk).
+  /// Pair-swap bit-reversal permutation; requires !cobra_enabled().
   void permute_pairswap(cplx* data) const;
   /// COBRA cache-blocked permutation; falls back to the pair-swap walk when
   /// the plan is below the COBRA threshold (cobra_enabled() == false).
@@ -226,7 +226,7 @@ class InplaceRadix2Plan {
   /// Phase::kPlanState fault addressing: a flipped bit in any span changes
   /// the registry seal and evicts the entry at the next verified acquire.
   void collect_state(StateSpans& out) const {
-    out.add_vec(bit_reverse_);
+    if (!cobra_) out.add_vec(bit_reverse_);
     out.add_vec(stage_twiddles_);
     out.add_vec(stages_);
     out.add_vec(tail_);
@@ -277,7 +277,7 @@ class InplaceRadix2Plan {
   std::size_t n_;
   unsigned log2n_;
   unsigned block_log2_;
-  std::vector<std::size_t> bit_reverse_;  // only entries with i < rev(i)
+  std::vector<std::size_t> bit_reverse_;  // pairs i < rev(i); !cobra_ only
   std::vector<FusedStage> stages_;        // fused radix-4 schedule
   std::vector<cplx> stage_twiddles_;      // packed per-stage w1/w2 runs
   std::size_t blocked_stage_count_;       // stages_ with len <= cache window

@@ -6,7 +6,12 @@
 //   transpose1 -> FFT1 (bsz p-point column FFTs per rank, each ABFT-protected
 //   with a gathered-buffer backup) -> transpose2 -> TM (DMR, fused into
 //   reception) -> FFT2 (one protected in-place n_loc-point FFT per rank,
-//   k*r*k plan from abft/inplace.hpp) -> transpose3 -> local adjustment.
+//   abft::protected_transform_inplace) -> transpose3 -> local adjustment.
+//
+// FFT2 runs the window schedule (abft/online.hpp) on power-of-two slices
+// from 2^14 on when memory_ft is set, k*r*k (abft/inplace.hpp) otherwise.
+// A windowed FFT2 holds the schedule's per-thread n_loc-element backup:
+// 2 MiB per engine worker at n_loc = 2^17.
 //
 // Execution (parallel/sharded_fft.cpp): the p simulated ranks are p lanes on
 // a BatchEngine. Each of the three communication phases is one
@@ -53,11 +58,6 @@ struct ParallelOptions {
 
   // Appended after the positionally-initialized preset fields, so the four
   // Fig. 8 variants inherit these defaults.
-
-  /// Fuse the FFT2 checksum dot products into its butterfly passes
-  /// (abft::Options::fused_checksums). Detection / correction outcomes are
-  /// identical either way.
-  bool fused_checksums = env_flag("FTFFT_FUSED_CHECKSUMS", false);
 
   /// Whole-transform restarts allowed when a modeled rank failure
   /// (NetworkModel::fail_rank) kills a phase — node-loss recovery. 0 = the

@@ -4,7 +4,6 @@
 
 #include "abft/options.hpp"
 #include "checksum/weights.hpp"
-#include "common/env.hpp"
 #include "common/plan_registry.hpp"
 #include "fft/fft.hpp"
 #include "roundoff/model.hpp"
@@ -18,14 +17,16 @@ struct PlanKey {
   std::size_t p;
   std::size_t n;
   bool protect;
+  bool memory_ft;
   int max_errors;
   bool operator==(const PlanKey&) const = default;
 };
 
 struct PlanKeyHash {
   std::size_t operator()(const PlanKey& key) const noexcept {
-    return ((key.p * 1000003 + key.n) * 2 +
-            static_cast<std::size_t>(key.protect)) *
+    return ((key.p * 1000003 + key.n) * 4 +
+            static_cast<std::size_t>(key.protect) * 2 +
+            static_cast<std::size_t>(key.memory_ft)) *
                8 +
            static_cast<std::size_t>(key.max_errors);
   }
@@ -56,11 +57,13 @@ const bool registry_registered =
 
 }  // namespace
 
-ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
-                           int max_errors)
+ParallelPlan::ParallelPlan(std::size_t p, std::size_t n,
+                           const ParallelOptions& opts)
     : p_(p), n_(n), n_loc_(p == 0 ? 0 : n / p),
-      bsz_(p == 0 ? 0 : n / p / p), protect_(protect),
-      max_errors_(checksum::clamp_max_errors(max_errors)) {
+      bsz_(p == 0 ? 0 : n / p / p), protect_(opts.protect),
+      max_errors_(opts.protect
+                      ? checksum::clamp_max_errors(opts.max_correctable_errors)
+                      : 1) {
   plan_builds.fetch_add(1, std::memory_order_relaxed);
   detail::require(p >= 2, "parallel plan: need at least 2 ranks");
   detail::require(p % 3 != 0,
@@ -68,18 +71,12 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
                   "checksum encoding");
   detail::require(n % (p * p) == 0, "parallel plan: N must be divisible by p^2");
 
-  if (protect) {
+  if (protect_) {
     cp_ = checksum::shared_input_checksum_vector(
         p_, checksum::RaGenMethod::kClosedForm);
-    // Same cache entry abft::inplace_online_transform(data, n, opts, ...)
-    // resolves under online options (the kOnlineInplace key normalizes the
-    // buffering fields away), so the execution-time lookup is a guaranteed
-    // hit. FFT2 keeps the k*r*k scheme even at slice sizes where the
-    // in-place entry points run the window schedule.
-    abft::Options fft2_opts = abft::Options::online_opt(true);
-    fft2_opts.max_correctable_errors = max_errors_;
-    fft2_ = abft::ProtectionPlan::get(n_loc_, abft::Scheme::kOnlineInplace,
-                                      fft2_opts);
+    fft2_opts_ = abft::Options::online_opt(opts.memory_ft);
+    fft2_opts_.max_correctable_errors = max_errors_;
+    fft2_ = abft::resolve_protection_plan(n_loc_, fft2_opts_, /*inplace=*/true);
     eta_fft1_coeff_ = roundoff::practical_eta_coeff(p_);
     eta_block_coeff_ =
         roundoff::practical_eta_memory_coeff(bsz_ == 0 ? 1 : bsz_);
@@ -90,24 +87,26 @@ ParallelPlan::ParallelPlan(std::size_t p, std::size_t n, bool protect,
 
   // Touch every sub-FFT plan tree the run will execute, so rank threads /
   // engine workers never race through a cold plan build: FFT1's p-point
-  // engine, FFT2's k- and r-point sub-engines (protected) or the whole
-  // n_loc engine (unprotected).
+  // engine, then FFT2's. The window schedule runs on the whole n_loc engine
+  // and recomputes on m- and k-point ones; k*r*k runs k- and r-point
+  // sub-engines; unprotected FFT2 is the plain n_loc engine.
   fft::Fft warm_p(p_);
-  if (protect) {
+  const bool windowed = fft2_ != nullptr && fft2_->window_log2() != 0;
+  if (fft2_ == nullptr || windowed) fft::Fft warm_loc(n_loc_);
+  if (fft2_ != nullptr) {
+    fft::Fft warm_inner(windowed ? fft2_->m() : fft2_->r());
     fft::Fft warm_k(fft2_->k());
-    fft::Fft warm_r(fft2_->r());
-  } else {
-    fft::Fft warm_loc(n_loc_);
   }
 }
 
-std::shared_ptr<const ParallelPlan> ParallelPlan::get(std::size_t p,
-                                                      std::size_t n,
-                                                      bool protect,
-                                                      int max_errors) {
-  const int t = protect ? checksum::clamp_max_errors(max_errors) : 1;
-  return registry().get_or_build(PlanKey{p, n, protect, t}, [&] {
-    return std::make_shared<const ParallelPlan>(p, n, protect, t);
+std::shared_ptr<const ParallelPlan> ParallelPlan::get(
+    std::size_t p, std::size_t n, const ParallelOptions& opts) {
+  const bool protect = opts.protect;
+  const PlanKey key{
+      p, n, protect, protect && opts.memory_ft,
+      protect ? checksum::clamp_max_errors(opts.max_correctable_errors) : 1};
+  return registry().get_or_build(key, [&] {
+    return std::make_shared<const ParallelPlan>(p, n, opts);
   });
 }
 
@@ -122,11 +121,12 @@ void ParallelPlan::drop_cache() { registry().clear(); }
 std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,
                                                bool protect,
                                                int max_correctable_errors) {
-  if (max_correctable_errors <= 0) {
-    max_correctable_errors =
-        static_cast<int>(env_long("FTFFT_MAX_ERRORS", 1));
+  ParallelOptions opts = protect ? ParallelOptions::opt_ft_fftw()
+                                 : ParallelOptions::opt_fftw();
+  if (max_correctable_errors > 0) {
+    opts.max_correctable_errors = max_correctable_errors;
   }
-  return ParallelPlan::get(p, n, protect, max_correctable_errors);
+  return ParallelPlan::get(p, n, opts);
 }
 
 }  // namespace ftfft::parallel

@@ -2,8 +2,8 @@
 // distributed transform, resolved once and cached process-wide.
 //
 // A ParallelPlan hoists the per-rank setup out of the rank tasks: the
-// p-point FFT1 input-checksum vector (rA) and the FFT2 k*r*k ProtectionPlan
-// are shared cache references, the sub-FFT plan trees (p, k, r / n_loc) are
+// p-point FFT1 input-checksum vector (rA) and the FFT2 ProtectionPlan are
+// shared cache references, the sub-FFT plan trees FFT1 and FFT2 run are
 // pre-touched at build so no rank races through a cold plan build, and the
 // sigma-independent threshold coefficients are precomputed so the hot path
 // only pays roundoff::eta_from_coeff. submit_parallel (and parallel_fft,
@@ -21,25 +21,23 @@
 #include "abft/protection_plan.hpp"
 #include "common/complex.hpp"
 #include "common/error.hpp"
+#include "parallel/parallel_fft.hpp"
 
 namespace ftfft::parallel {
 
 class ParallelPlan {
  public:
-  /// Direct (uncached) build; throws std::invalid_argument for bad geometry
-  /// (p < 2, 3 | p, p^2 does not divide n) and propagates
-  /// abft::inplace_shape's rejection of unsupported n_loc when protected.
-  /// Prefer get(). max_errors (clamped to
-  /// [1, checksum::kMaxCorrectableErrors]) > 1 additionally caches the
-  /// syndrome node table for the bsz-element transpose blocks and resolves
-  /// the FFT2 protection plan with the same multi-error budget.
-  ParallelPlan(std::size_t p, std::size_t n, bool protect, int max_errors = 1);
+  /// Direct (uncached) build from opts.protect and, when protected,
+  /// memory_ft and max_correctable_errors (clamped to
+  /// [1, checksum::kMaxCorrectableErrors]; > 1 also caches the syndrome
+  /// node table for the bsz-element transpose blocks). Throws
+  /// std::invalid_argument for bad geometry (p < 2, 3 | p, p^2 does not
+  /// divide n) and for an n_loc FFT2 cannot run in place. Prefer get().
+  ParallelPlan(std::size_t p, std::size_t n, const ParallelOptions& opts);
 
-  /// Cached resolution keyed on (p, n, protect, clamped max_errors).
-  /// Thread-safe.
+  /// Cached resolution keyed on the fields the build reads. Thread-safe.
   static std::shared_ptr<const ParallelPlan> get(std::size_t p, std::size_t n,
-                                                 bool protect,
-                                                 int max_errors = 1);
+                                                 const ParallelOptions& opts);
 
   [[nodiscard]] std::size_t p() const noexcept { return p_; }
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
@@ -53,12 +51,19 @@ class ParallelPlan {
     return cp_ ? cp_->data() : nullptr;
   }
 
-  /// Cached k*r*k ProtectionPlan for the n_loc-point FFT2 — the same cache
-  /// entry abft::inplace_online_transform would resolve, handed to its
-  /// plan-based overload so FFT2 is rA-generation-free per call. nullptr
-  /// when unprotected.
+  /// Cached plan of the n_loc-point FFT2: resolve_protection_plan(n_loc,
+  /// fft2_options(), inplace = true), i.e. the window schedule or k*r*k as
+  /// for every in-place call, handed to protected_transform_inplace so FFT2
+  /// is rA-generation-free per call. nullptr when unprotected.
   [[nodiscard]] const abft::ProtectionPlan* fft2_plan() const noexcept {
     return fft2_.get();
+  }
+
+  /// The abft::Options a protected FFT2 runs under: Opt-Online for the
+  /// plan's memory_ft at its error budget. Callers add only per-call
+  /// fields (injector, eta_override, max_retries); none selects a plan.
+  [[nodiscard]] const abft::Options& fft2_options() const noexcept {
+    return fft2_opts_;
   }
 
   /// Sigma-independent threshold coefficients (see roundoff::eta_from_coeff):
@@ -100,6 +105,7 @@ class ParallelPlan {
   std::size_t p_, n_, n_loc_, bsz_;
   bool protect_;
   int max_errors_ = 1;
+  abft::Options fft2_opts_;
   std::shared_ptr<const std::vector<cplx>> cp_;
   std::shared_ptr<const std::vector<double>> sn_block_;
   std::shared_ptr<const abft::ProtectionPlan> fft2_;
@@ -107,12 +113,13 @@ class ParallelPlan {
   double eta_block_coeff_ = 0.0;
 };
 
-/// Pre-resolves everything a (p, n) distributed transform of the given
-/// protection level touches — the ParallelPlan itself, the rA vector, the
-/// FFT2 ProtectionPlan and the p / k / r / n_loc sub-FFT plan trees — so
-/// the first submit_parallel call afterwards performs zero
-/// rA generations and no plan builds. Returns the plan handle (keeping it
-/// alive pins the entry against LRU eviction).
+/// Pre-resolves everything a (p, n) distributed transform of a Fig. 8
+/// preset touches — protect = true warms the memory-fault-tolerant
+/// variants (ft_fftw / opt_ft_fftw), false the unprotected ones: the
+/// ParallelPlan itself, the rA vector, the FFT2 ProtectionPlan and the
+/// sub-FFT plan trees — so the first submit_parallel call afterwards
+/// performs zero rA generations and no plan builds. Returns the plan handle
+/// (keeping it alive pins the entry against LRU eviction).
 /// max_correctable_errors: 0 = the FTFFT_MAX_ERRORS process default, i.e.
 /// the budget a default-constructed ParallelOptions submit resolves.
 std::shared_ptr<const ParallelPlan> warm_plans(std::size_t p, std::size_t n,

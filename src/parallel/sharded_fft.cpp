@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "abft/dmr.hpp"
-#include "abft/inplace.hpp"
+#include "abft/protected_fft.hpp"
 #include "checksum/dot.hpp"
 #include "checksum/memory_checksum.hpp"
 #include "checksum/multi_error.hpp"
@@ -442,8 +442,8 @@ double phase1(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
   return pull_cpu;
 }
 
-// Phase 2: transpose2 pull + DMR twiddle + FFT2 (n_loc in-place k*r*k,
-// through the plan-cached ProtectionPlan — zero rA generations per call).
+// Phase 2: transpose2 pull + DMR twiddle + FFT2 (protected, in place, on the
+// plan-cached ProtectionPlan — zero rA generations per call).
 double phase2(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
               TransposeStats& tstats, abft::Stats& stats) {
   const ParallelOptions& opts = st.opts;
@@ -475,12 +475,12 @@ double phase2(ShardedState& st, std::size_t r, const ThreadCpuTimer& cpu,
   const double pull_cpu = cpu.elapsed() - pull_start;
 
   if (protect) {
-    abft::Options aopts = abft::Options::online_opt(opts.memory_ft);
+    abft::Options aopts = plan.fft2_options();
     aopts.eta_override = opts.eta_override;
     aopts.max_retries = opts.max_retries;
     aopts.injector = &st.injectors[r];
-    aopts.fused_checksums = opts.fused_checksums;
-    abft::inplace_online_transform(slice, *plan.fft2_plan(), aopts, stats);
+    abft::protected_transform_inplace(slice, n_loc, aopts, stats,
+                                      plan.fft2_plan());
   } else {
     fft::Fft engine(n_loc);
     engine.execute_inplace(slice);
@@ -734,8 +734,7 @@ ParallelFuture submit_parallel(
   st->n_loc = n / p;
   st->bsz = n / p / p;
   st->opts = opts;
-  st->plan = ParallelPlan::get(p, n, opts.protect,
-                               opts.max_correctable_errors);  // throws on bad n_loc
+  st->plan = ParallelPlan::get(p, n, opts);  // throws on bad n_loc
   st->eng = engine != nullptr ? engine : &engine::BatchEngine::shared();
   st->in = std::move(input);
   st->out_is_input = opts.net.fail_rank == NetworkModel::kNoRank ||

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "abft/protection_plan.hpp"
 #include "checksum/weights.hpp"
 #include "common/plan_registry.hpp"
 #include "common/rng.hpp"
@@ -43,8 +45,7 @@ void expect_matches_sequential(const std::vector<cplx>& x,
 // the default).
 std::size_t message_bytes(std::size_t p, std::size_t n,
                           const ParallelOptions& opts) {
-  const auto plan = parallel::ParallelPlan::get(p, n, opts.protect,
-                                                opts.max_correctable_errors);
+  const auto plan = parallel::ParallelPlan::get(p, n, opts);
   const auto t = static_cast<std::size_t>(plan->max_errors());
   return (n / (p * p) + 2 * t) * sizeof(cplx);
 }
@@ -126,12 +127,15 @@ TEST(ShardedCampaign, OutcomesMatchReferencePathCounters) {
   EXPECT_EQ(report.comm_stats.messages_received, 36u);
 }
 
-TEST(ShardedCampaign, FusedAndSeparateChecksumsIdenticalOutcomes) {
-  // FFT2-layer faults, executed with the separate-pass and the fused
-  // checksum engines: bit-identical spectra and identical campaign
-  // outcomes (the acceptance gate for fusing the parallel path).
+TEST(ShardedCampaign, Fft2FaultsCorrectedOnKrkSlices) {
+  // FFT2 sub-FFT faults on slices below the window schedule (1024 points:
+  // the k*r*k scheme): each recomputed, the exact spectrum delivered.
   const std::size_t p = 4, n = 4096;
   const auto x = random_vector(n, InputDistribution::kNormal, 74);
+  ASSERT_EQ(parallel::ParallelPlan::get(p, n, ParallelOptions::opt_ft_fftw())
+                ->fft2_plan()
+                ->scheme(),
+            abft::Scheme::kOnlineInplace);
   const auto arm = [](std::size_t rank, fault::Injector& inj) {
     if (rank == 2) {
       inj.schedule(fault::FaultSpec::computational(fault::Phase::kMFftOutput,
@@ -142,19 +146,92 @@ TEST(ShardedCampaign, FusedAndSeparateChecksumsIdenticalOutcomes) {
                                                    7, 2, {-3.0, 1.0}));
     }
   };
-  ParallelOptions separate = ParallelOptions::opt_ft_fftw();
-  separate.fused_checksums = false;
-  ParallelOptions fused = separate;
-  fused.fused_checksums = true;
-  ParallelReport rs, rf;
-  const auto ys = parallel::parallel_fft(p, x, separate, &rs, arm);
-  const auto yf = parallel::parallel_fft(p, x, fused, &rf, arm);
-  expect_matches_sequential(x, ys);
-  EXPECT_EQ(std::memcmp(ys.data(), yf.data(), n * sizeof(cplx)), 0);
-  EXPECT_EQ(rs.stats.comp_errors_detected, rf.stats.comp_errors_detected);
-  EXPECT_EQ(rs.stats.mem_errors_corrected, rf.stats.mem_errors_corrected);
-  EXPECT_EQ(rs.comm_stats.comm_errors_corrected,
-            rf.comm_stats.comm_errors_corrected);
+  ParallelReport report;
+  const auto got = parallel::parallel_fft(p, x, ParallelOptions::opt_ft_fftw(),
+                                          &report, arm);
+  expect_matches_sequential(x, got);
+  EXPECT_EQ(report.stats.comp_errors_detected, 2u);
+  EXPECT_EQ(report.stats.sub_fft_retries, 2u);
+  EXPECT_EQ(report.stats.mem_errors_detected, 0u);
+}
+
+TEST(ShardedCampaign, Fft2FaultsCorrectedOnWindowSlices) {
+  // N = 2^18 on 4 ranks: 2^16-point slices, which FFT2 runs on the window
+  // schedule. One fault per phase of it on rank 1, each in its own run:
+  // detected, corrected, and the spectrum matches the sequential one.
+  const std::size_t p = 4, n = std::size_t{1} << 18, n_loc = n / p;
+  const auto plan =
+      parallel::ParallelPlan::get(p, n, ParallelOptions::opt_ft_fftw());
+  ASSERT_EQ(plan->fft2_plan()->scheme(), abft::Scheme::kOnline);
+  ASSERT_NE(plan->fft2_plan()->window_log2(), 0u);
+  const std::size_t m = plan->fft2_plan()->m(), k = plan->fft2_plan()->k();
+  const auto x = random_vector(n, InputDistribution::kUniform, 79);
+  using fault::FaultSpec;
+  using fault::Phase;
+  struct Case {
+    const char* name;
+    FaultSpec spec;
+    bool first_layer;  // recomputes its window; the rest rerun the tail
+  };
+  const Case cases[] = {
+      {"input", FaultSpec::memory_set(Phase::kInputAfterChecksum, 0,
+                                      n_loc / 2 + 3, {30.0, -12.0}),
+       false},
+      {"m-fft output",
+       FaultSpec::computational(Phase::kMFftOutput, k / 2, m / 3, {2.5, -1.0}),
+       true},
+      {"intermediate", FaultSpec::memory_set(Phase::kIntermediate, 0,
+                                             (k / 2) * m + 5, {25.0, -8.0}),
+       false},
+      {"k-fft output",
+       FaultSpec::computational(Phase::kKFftOutput, m - 1, k - 1, {-4.0, 0.5}),
+       false},
+      {"final output",
+       FaultSpec::bit_flip(Phase::kFinalOutput, 0, 3 * m + 7, 58, false),
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ParallelReport report;
+    const auto got = parallel::parallel_fft(
+        p, x, ParallelOptions::opt_ft_fftw(), &report,
+        [&](std::size_t rank, fault::Injector& inj) {
+          if (rank == 1) inj.schedule(c.spec);
+        });
+    expect_matches_sequential(x, got);
+    EXPECT_EQ(report.stats.comp_errors_detected, c.first_layer ? 1u : 0u);
+    EXPECT_EQ(report.stats.mem_errors_detected, c.first_layer ? 0u : 1u);
+    EXPECT_EQ(report.stats.mem_errors_corrected,
+              report.stats.mem_errors_detected);
+    EXPECT_EQ(report.comm_stats.comm_errors_detected, 0u);
+  }
+}
+
+TEST(ShardedFaultFree, WindowSlicesAt2p22On16RanksOver32Seeds) {
+  // N = 2^22 on 16 ranks: 2^18-point FFT2 slices on the window schedule.
+  // Every fault-free run completes without a detection and with both
+  // layers' residuals at most half their thresholds.
+  const std::size_t p = 16, n = std::size_t{1} << 22;
+  for (const auto dist :
+       {InputDistribution::kUniform, InputDistribution::kNormal}) {
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+      SCOPED_TRACE("dist=" + std::to_string(static_cast<int>(dist)) +
+                   " seed=" + std::to_string(seed));
+      ParallelReport report;
+      std::vector<cplx> got;
+      ASSERT_NO_THROW(got = parallel::submit_parallel(
+                                p, random_vector(n, dist, seed),
+                                ParallelOptions::opt_ft_fftw())
+                                .get(&report));
+      ASSERT_EQ(got.size(), n);
+      EXPECT_EQ(report.stats.comp_errors_detected +
+                    report.stats.mem_errors_detected,
+                0u);
+      EXPECT_GT(report.stats.margin_m, 0.0);
+      EXPECT_LE(report.stats.margin_m, 0.5);
+      EXPECT_LE(report.stats.margin_k, 0.5);
+    }
+  }
 }
 
 TEST(ShardedCampaign, RankFailureRecoversWithinRestartBudget) {
@@ -219,20 +296,49 @@ TEST(ShardedCampaign, StragglerRankRaisesModeledComm) {
             clean.max_comm + 3.0 * static_cast<double>(p - 1) * 1e-3 * 0.999);
 }
 
+std::uint64_t total_plan_misses() {
+  std::uint64_t misses = 0;
+  for (const auto& cache : plan_cache_stats()) misses += cache.misses;
+  return misses;
+}
+
 TEST(ShardedPlan, WarmedSubmitDoesNoPlanOrRaWork) {
-  // Unique geometry so no other test has warmed this entry.
-  const std::size_t p = 8, n = 8 * 2048;
-  parallel::warm_plans(p, n, /*protect=*/true);
-  const auto builds_before = parallel::ParallelPlan::build_count();
-  const auto ra_before = checksum::ra_generations();
-  auto x = random_vector(n, InputDistribution::kUniform, 78);
-  auto fut = parallel::submit_parallel(p, std::move(x),
-                                       ParallelOptions::opt_ft_fftw());
-  (void)fut.get();
-  EXPECT_EQ(parallel::ParallelPlan::build_count(), builds_before)
-      << "submit after warm_plans must not build plans";
-  EXPECT_EQ(checksum::ra_generations(), ra_before)
-      << "submit after warm_plans must not regenerate checksum weights";
+  // Unique geometries so no other test has warmed these entries: 2048-point
+  // FFT2 slices (k*r*k) and 2^15-point ones (the window schedule).
+  for (const auto& [p, n] : {std::pair<std::size_t, std::size_t>{8, 8 * 2048},
+                             {4, std::size_t{1} << 17}}) {
+    SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n));
+    parallel::warm_plans(p, n, /*protect=*/true);
+    const auto builds_before = parallel::ParallelPlan::build_count();
+    const auto ra_before = checksum::ra_generations();
+    const auto misses_before = total_plan_misses();
+    auto x = random_vector(n, InputDistribution::kUniform, 78);
+    auto fut = parallel::submit_parallel(p, std::move(x),
+                                         ParallelOptions::opt_ft_fftw());
+    (void)fut.get();
+    EXPECT_EQ(parallel::ParallelPlan::build_count(), builds_before)
+        << "submit after warm_plans must not build plans";
+    EXPECT_EQ(checksum::ra_generations(), ra_before)
+        << "submit after warm_plans must not regenerate checksum weights";
+    EXPECT_EQ(total_plan_misses(), misses_before)
+        << "submit after warm_plans must not miss any plan cache";
+  }
+}
+
+TEST(ShardedPlan, ComputationalOnlyFft2RunsKrkOnCoveredSlices) {
+  // Without memory_ft the window schedule does not cover FFT2, so a 2^16
+  // slice runs k*r*k: the plan must be resolved for the options FFT2 runs
+  // with, not for the memory-fault-tolerant preset.
+  const std::size_t p = 4, n = std::size_t{1} << 18;
+  ParallelOptions opts = ParallelOptions::opt_ft_fftw();
+  opts.memory_ft = false;
+  EXPECT_EQ(parallel::ParallelPlan::get(p, n, opts)->fft2_plan()->scheme(),
+            abft::Scheme::kOnlineInplace);
+  const auto x = random_vector(n, InputDistribution::kUniform, 80);
+  ParallelReport report;
+  const auto got = parallel::parallel_fft(p, x, opts, &report);
+  expect_matches_sequential(x, got);
+  EXPECT_EQ(report.stats.comp_errors_detected, 0u);
 }
 
 TEST(ShardedPlan, RegisteredInPlanCacheStats) {

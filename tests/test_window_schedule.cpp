@@ -49,6 +49,29 @@ std::vector<cplx> engine_fft(const std::vector<cplx>& x) {
   return y;
 }
 
+// Entries of the size-n engine's packed stage twiddles: one w1 and one w2
+// run of 2^(t-1) values per fused radix-4 stage.
+std::size_t engine_twiddle_count(std::size_t n) {
+  std::size_t twiddles = 0;
+  const unsigned log2n = log2_floor(n);
+  for (unsigned t = (log2n & 1u) ? 2 : 1; t + 1 <= log2n; t += 2) {
+    twiddles += 2 * (std::size_t{1} << (t - 1));
+  }
+  return twiddles;
+}
+
+// Index of the stage-twiddle span among the size-n engine's collect_state
+// spans (whether the pair-swap table precedes it depends on the size).
+std::size_t engine_twiddle_span(std::size_t n) {
+  StateSpans spans;
+  fft::InplaceRadix2Plan::get(n)->collect_state(spans);
+  const std::size_t bytes = engine_twiddle_count(n) * sizeof(cplx);
+  std::size_t i = 0;
+  while (i < spans.spans.size() && spans.spans[i].bytes != bytes) ++i;
+  EXPECT_LT(i, spans.spans.size()) << "no twiddle span at n=" << n;
+  return i;
+}
+
 // ------------------------------------------------------- engine split
 
 // Permutation + forward_window over every window + forward_tail_from is
@@ -356,13 +379,40 @@ TEST(InplaceRouting, CoveredPowersOfTwoResolveTheWindowPlan) {
   }
 }
 
-// The sharded FFT2 keeps the k*r*k scheme on its slices, also where the
-// slice size (2^21 / 16 = 2^17) is one the window schedule covers.
-TEST(InplaceRouting, ShardedFft2KeepsTheKrkPlan) {
-  const auto pp = parallel::ParallelPlan::get(16, std::size_t{1} << 21, true);
-  ASSERT_NE(pp->fft2_plan(), nullptr);
-  EXPECT_EQ(pp->fft2_plan()->n(), std::size_t{1} << 17);
-  EXPECT_EQ(pp->fft2_plan()->scheme(), abft::Scheme::kOnlineInplace);
+// The sharded FFT2 takes the routing of every in-place entry point: its
+// plan is the one resolve_protection_plan returns for the options FFT2 runs
+// with — the window schedule on covered slices (2^21 / 16 = 2^17), k*r*k
+// below 2^14 (2^16 / 16 = 2^12) and without memory_ft — at every budget t.
+TEST(InplaceRouting, ShardedFft2ResolvesTheInplacePlan) {
+  struct Case {
+    std::size_t n;
+    bool memory_ft;
+    int t;
+    abft::Scheme scheme;
+  };
+  for (const Case& c :
+       {Case{std::size_t{1} << 21, true, 1, abft::Scheme::kOnline},
+        Case{std::size_t{1} << 21, true, 2, abft::Scheme::kOnline},
+        Case{std::size_t{1} << 21, false, 1, abft::Scheme::kOnlineInplace},
+        Case{std::size_t{1} << 16, true, 1, abft::Scheme::kOnlineInplace}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " memory_ft=" + std::to_string(c.memory_ft) +
+                 " t=" + std::to_string(c.t));
+    parallel::ParallelOptions po = parallel::ParallelOptions::opt_ft_fftw();
+    po.memory_ft = c.memory_ft;
+    po.max_correctable_errors = c.t;
+    const auto pp = parallel::ParallelPlan::get(16, c.n, po);
+    const abft::Options& fo = pp->fft2_options();
+    EXPECT_EQ(fo.memory_ft, c.memory_ft);
+    EXPECT_EQ(fo.max_correctable_errors, c.t);
+    const auto want = abft::resolve_protection_plan(c.n / 16, fo, true);
+    ASSERT_NE(pp->fft2_plan(), nullptr);
+    EXPECT_EQ(pp->fft2_plan(), want.get());
+    EXPECT_EQ(pp->fft2_plan()->scheme(), c.scheme);
+    EXPECT_EQ(pp->fft2_plan()->max_errors(), c.t);
+    EXPECT_EQ(pp->fft2_plan()->window_log2() != 0,
+              c.scheme == abft::Scheme::kOnline);
+  }
 }
 
 std::uint64_t total_corruptions() {
@@ -383,7 +433,7 @@ TEST(InplaceRouting, PlanStateFaultHitsTheSpansTheInplaceCallReads) {
   ASSERT_NE(plan->window_log2(), 0u);
   StateSpans spans;
   plan->collect_state(spans);
-  const std::size_t twiddle_span = spans.spans.size() + 1;
+  const std::size_t twiddle_span = spans.spans.size() + engine_twiddle_span(n);
   const auto x = random_vector(n, InputDistribution::kUniform, 5150);
   const auto clean = engine_fft(x);
 
@@ -575,16 +625,10 @@ TEST_P(WindowSchedule, FlippedTailTwiddleIsNeverSilent) {
   const auto plan = abft::ProtectionPlan::get(n_, abft::Scheme::kOnline, opts);
   StateSpans spans;
   plan->collect_state(spans);
-  // Engine spans follow the plan's: permutation pairs, then the twiddles.
-  const std::size_t twiddle_span = spans.spans.size() + 1;
-  std::size_t twiddles = 0;
-  const unsigned log2n = log2_floor(n_);
-  for (unsigned t = (log2n & 1u) ? 2 : 1; t + 1 <= log2n; t += 2) {
-    twiddles += 2 * (std::size_t{1} << (t - 1));
-  }
-  StateSpans engine_spans;
-  fft::InplaceRadix2Plan::get(n_)->collect_state(engine_spans);
-  ASSERT_EQ(engine_spans.spans[1].bytes, twiddles * sizeof(cplx));
+  // Engine spans follow the plan's.
+  const std::size_t twiddle_span =
+      spans.spans.size() + engine_twiddle_span(n_);
+  const std::size_t twiddles = engine_twiddle_count(n_);
 
   const std::uint64_t corruptions_before = total_corruptions();
   Injector inj;
